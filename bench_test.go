@@ -106,9 +106,11 @@ func BenchmarkBootstrapHyFD(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBatch measures one maintenance batch per operation mix.
+// BenchmarkApplyBatch measures one maintenance batch per operation mix;
+// single is the insert-heavy history whose cost is the insert sweep's
+// cluster-pruned validations (before/after numbers in BENCH_prune.json).
 func BenchmarkApplyBatch(b *testing.B) {
-	for _, name := range []string{"cpu", "disease", "claims"} {
+	for _, name := range []string{"cpu", "disease", "claims", "single"} {
 		b.Run(name, func(b *testing.B) {
 			d := generated(b, name, 0.25)
 			batches := stream.FixedBatches(d.Changes, 50)

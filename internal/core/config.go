@@ -76,9 +76,13 @@ type Config struct {
 	// produce identical FD and non-FD covers after every batch — the
 	// serial-equivalence guarantee, asserted by the equivalence property
 	// tests. (Work counters may drift between any two runs, serial or not,
-	// because validation witnesses follow Go's random map iteration order
-	// and witnesses steer the result-neutral validation pruning.) The knob
-	// changes wall-clock time only.
+	// because witnesses of unpruned validations — the delete sweep and
+	// insert sweeps with cluster pruning off — follow Go's random map
+	// iteration order, and witnesses steer the result-neutral validation
+	// pruning. Cluster-pruned insert validations walk the batch's touched
+	// pivot clusters in a deterministic order, except after a batch whose
+	// last inserts died within it, which falls back to the full scan.)
+	// The knob changes wall-clock time only.
 	Workers int
 	// StealChunk is the number of candidate validations bundled into one
 	// stealable scheduler task. 0 picks a size automatically from the

@@ -97,3 +97,32 @@ func TestParallelEngineRepeatedBatches(t *testing.T) {
 	t.Parallel()
 	runWorkload(t, parallelConfig(4), 11, 5, 20, 10, 8, 3)
 }
+
+// TestInsertSweepGetsTouchedClusterWalk checks that the serial, inline
+// and pipelined engines all leave the store with a new-cluster list
+// stamped with the batch's pre-batch horizon — the minNewID their insert
+// sweeps validate with — so cluster-pruned validations walk only the
+// pivot clusters the batch touched (DESIGN.md §17).
+func TestInsertSweepGetsTouchedClusterWalk(t *testing.T) {
+	t.Parallel()
+	batch := stream.Batch{Changes: []stream.Change{
+		{Kind: stream.Delete, ID: 2},
+		{Kind: stream.Insert, Values: []string{"Marie", "Scott", "14467", "Potsdam"}},
+		{Kind: stream.Insert, Values: []string{"Marie", "Gray", "14469", "Potsdam"}},
+	}}
+	for _, workers := range []int{0, 1, 2} {
+		e := mustBootstrap(t, parallelConfig(workers))
+		from := e.store.NextID()
+		if _, err := e.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < e.numAttrs; a++ {
+			if _, ok := e.store.Index(a).NewClusters(from); !ok {
+				t.Errorf("workers=%d: attr %d has no touched-cluster list for horizon %d", workers, a, from)
+			}
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+		}
+	}
+}

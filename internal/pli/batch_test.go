@@ -321,3 +321,80 @@ func TestApplyBatchWorkerPanicSurfacesAsError(t *testing.T) {
 		}
 	}
 }
+
+// TestNewClustersLifecycle pins the new-cluster list contract: a batch
+// records the clusters it grew in first-new-member order under its
+// pre-batch horizon, the staged form records the same list, a mismatched
+// horizon makes it unavailable, and a later small batch releases the
+// relation-sized list a bulk load left behind. (The single-record
+// mutators' invalidation is pinned by validate's TestTouchedWalkFallbacks.)
+func TestNewClustersLifecycle(t *testing.T) {
+	t.Parallel()
+	const n = 2000
+	bulk := make([]BatchInsert, n)
+	for i := range bulk {
+		bulk[i] = BatchInsert{ID: int64(i), Values: []string{fmt.Sprint(i), fmt.Sprint(i % 7)}}
+	}
+	build := func() *Store {
+		s := NewStore(2)
+		if err := s.ApplyBatch(nil, bulk, 2); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := build()
+	if cids, ok := s.Index(0).NewClusters(0); !ok || len(cids) != n {
+		t.Fatalf("bulk load: %d new clusters ok=%v, want %d", len(cids), ok, n)
+	}
+
+	from := s.NextID()
+	batch := []BatchInsert{
+		{ID: from, Values: []string{"5", "new"}},
+		{ID: from + 1, Values: []string{"3", "1"}},
+		{ID: from + 2, Values: []string{"5", "2"}},
+	}
+	want0 := []string{"5", "3"}
+	want1 := []string{"new", "1", "2"}
+	check := func(label string, s *Store) {
+		t.Helper()
+		for a, want := range [][]string{want0, want1} {
+			ix := s.Index(a)
+			cids, ok := ix.NewClusters(from)
+			if !ok {
+				t.Fatalf("%s: attr %d list unavailable after batch", label, a)
+			}
+			var got []string
+			for _, cid := range cids {
+				got = append(got, ix.Cluster(cid).Value)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: attr %d new clusters %v, want %v", label, a, got, want)
+			}
+			if cap(cids) > newCidsKeepCap {
+				t.Errorf("%s: attr %d list capacity %d still pins the bulk load", label, a, cap(cids))
+			}
+			if _, ok := ix.NewClusters(from - 1); ok {
+				t.Errorf("%s: attr %d list served for a foreign horizon", label, a)
+			}
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if err := s.ApplyBatch([]int64{7, 8}, batch, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("ApplyBatch", s)
+
+	staged := build()
+	if err := staged.StageBatch([]int64{7, 8}, batch); err != nil {
+		t.Fatal(err)
+	}
+	for a := 1; a >= 0; a-- {
+		staged.RunAttr(a)
+	}
+	if err := staged.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("staged", staged)
+}

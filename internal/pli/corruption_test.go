@@ -158,3 +158,56 @@ func TestDetectsDeadClusterMember(t *testing.T) {
 		t.Errorf("CheckConsistency = %v", err)
 	}
 }
+
+// batchedStore returns a store bulk-loaded and then grown by one batch, so
+// every attribute carries a valid new-cluster list with several entries.
+func batchedStore(t *testing.T) *Store {
+	t.Helper()
+	s := NewStore(2)
+	var ins []BatchInsert
+	for i, row := range [][]string{{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}} {
+		ins = append(ins, BatchInsert{ID: int64(i), Values: row})
+	}
+	if err := s.ApplyBatch(nil, ins, 0); err != nil {
+		t.Fatal(err)
+	}
+	from := s.NextID()
+	ins = []BatchInsert{{ID: from, Values: []string{"c", "9"}}, {ID: from + 1, Values: []string{"a", "1"}}, {ID: from + 2, Values: []string{"c", "8"}}}
+	if err := s.ApplyBatch([]int64{1}, ins, 0); err != nil {
+		t.Fatal(err)
+	}
+	if cids, ok := s.Index(0).NewClusters(from); !ok || len(cids) != 2 {
+		t.Fatalf("precondition: new clusters %v ok=%v, want 2 valid entries", cids, ok)
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatalf("precondition: %v", err)
+	}
+	return s
+}
+
+func TestDetectsNewClusterListDrift(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ix *Index)
+		want    string
+	}{
+		{"duplicate", func(ix *Index) { ix.newCids = append(ix.newCids, ix.newCids[0]) }, "twice"},
+		{"missing", func(ix *Index) { ix.newCids = ix.newCids[:1] }, "misses"},
+		{"order", func(ix *Index) { ix.newCids[0], ix.newCids[1] = ix.newCids[1], ix.newCids[0] }, "order"},
+		{"stale", func(ix *Index) {
+			cid, _ := ix.ClusterOf("d") // untouched by the batch
+			ix.newCids = append(ix.newCids, cid)
+		}, "no member"},
+		{"stamp", func(ix *Index) { ix.newFrom-- }, "misses"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := batchedStore(t)
+			tc.corrupt(s.Index(0))
+			err := s.CheckConsistency()
+			if err == nil || !strings.Contains(err.Error(), "new-cluster list") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CheckConsistency = %v, want a new-cluster list error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}

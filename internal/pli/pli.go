@@ -22,7 +22,9 @@
 // out across a bounded worker pool (one worker owns an attribute's Index
 // exclusively, no locks), and deletes compact each touched cluster in one
 // sweep instead of splicing per record. Insert, InsertWithID, and Delete
-// remain as single-element wrappers with their original semantics.
+// remain as single-element wrappers with their original semantics. Every
+// batch also records, per attribute, the clusters it grew (NewClusters), so
+// cluster-pruned validation can walk just those (DESIGN.md §17).
 //
 // Deviation from the paper: compressed records store a real cluster id for
 // every value, including values that occur only once. The paper's "-1 for
@@ -123,6 +125,16 @@ type Index struct {
 	// batchCids is the reusable touched-cluster scratch of ApplyBatch.
 	// During a batch the owning maintenance worker uses it exclusively.
 	batchCids []int32
+
+	// newCids lists the clusters that gained a member in the last batch
+	// application, in first-new-member order; newFrom is that batch's
+	// pre-batch id horizon, so the list holds exactly the clusters whose
+	// MaxID is >= newFrom. newOK is false while the list does not describe
+	// the index: before the first batch and after any single-record
+	// mutation (see NewClusters).
+	newCids []int32
+	newFrom int64
+	newOK   bool
 }
 
 func newIndex() *Index {
@@ -153,6 +165,23 @@ func (ix *Index) ForEachCluster(fn func(cid int32, c *Cluster) bool) {
 	}
 }
 
+// NewClusters returns the ids of the clusters that gained a member in the
+// last batch application (ApplyBatch, or StageBatch+RunAttr), in the order
+// their first new member arrived, when from equals that batch's pre-batch
+// id horizon (the store's NextID before the batch). The list then holds
+// exactly the clusters with MaxID >= from — the pivot clusters cluster
+// pruning must visit — so a validation can walk it instead of the whole
+// index. ok is false for any other from, before the first batch, and after
+// Insert, InsertWithID, Delete or SetNextID; callers then fall back to a
+// full scan. The returned slice aliases the index and must not be
+// modified; it is valid until the attribute's next mutation.
+func (ix *Index) NewClusters(from int64) (cids []int32, ok bool) {
+	if !ix.newOK || from != ix.newFrom {
+		return nil, false
+	}
+	return ix.newCids, true
+}
+
 // Gen returns the distinct-value generation counter (see the field comment).
 func (ix *Index) Gen() uint64 { return ix.gen }
 
@@ -165,8 +194,9 @@ func (ix *Index) AppendValues(dst []string) []string {
 	return dst
 }
 
-// add registers id under value and returns the cluster id used.
-func (ix *Index) add(value string, id int64) int32 {
+// add registers id under value and returns the cluster id used together
+// with the cluster's previous newest member (-1 for a new cluster).
+func (ix *Index) add(value string, id int64) (cid int32, prevMax int64) {
 	cid, ok := ix.inverted[value]
 	if !ok {
 		cid = ix.next
@@ -176,8 +206,9 @@ func (ix *Index) add(value string, id int64) int32 {
 		ix.gen++
 	}
 	c := ix.clusters[cid]
+	prevMax = c.MaxID()
 	c.IDs = append(c.IDs, id) // ids are monotonic, order preserved
-	return cid
+	return cid, prevMax
 }
 
 // drop removes id from cluster cid, deleting the cluster when it empties.
@@ -423,7 +454,18 @@ func (s *Store) insertOne(id int64, values []string) {
 	s.setLive(id)
 	rec := s.Rec(id)
 	for a, v := range values {
-		rec[a] = s.shards[a].ix.add(v, id)
+		rec[a], _ = s.shards[a].ix.add(v, id)
+	}
+	s.invalidateNew()
+}
+
+// invalidateNew drops every attribute's new-cluster list and its memory:
+// the single-record mutators change clusters outside any batch, so no list
+// describes them.
+func (s *Store) invalidateNew() {
+	for a := range s.shards {
+		ix := s.shards[a].ix
+		ix.newCids, ix.newOK = nil, false
 	}
 }
 
@@ -475,6 +517,7 @@ func (s *Store) SetNextID(next int64) error {
 		return fmt.Errorf("pli: next id %d below current %d", next, s.nextID)
 	}
 	s.nextID = next
+	s.invalidateNew()
 	return nil
 }
 
@@ -495,6 +538,7 @@ func (s *Store) Delete(id int64) error {
 	}
 	s.clearLive(id)
 	s.freePageIfEmpty(id)
+	s.invalidateNew()
 	return nil
 }
 
@@ -546,15 +590,25 @@ func (s *Store) ApplyBatch(deletes []int64, inserts []BatchInsert, workers int) 
 	return s.Finish()
 }
 
-// applyAttr applies one batch's deletes and inserts to attribute a:
+// newCidsKeepCap is the new-cluster list capacity a batch always reuses;
+// above it, a backing array more than 4x the batch's insert count is
+// released, so a bulk load that touched every cluster does not pin a
+// relation-sized array for the life of the store.
+const newCidsKeepCap = 256
+
+// applyAttr applies the staged batch's deletes and inserts to attribute a:
 // compaction of the touched clusters first, then appends for the inserts
 // (insert ids exceed all existing ids, so appending after compaction keeps
-// cluster id lists strictly ascending).
-func (s *Store) applyAttr(a int, deletes []int64, inserts []BatchInsert) {
+// cluster id lists strictly ascending). The appends also rebuild the
+// attribute's new-cluster list: a cluster joins it when its previous
+// newest member predates the batch (is below st.from), which is true
+// exactly once per cluster per batch.
+func (s *Store) applyAttr(a int, st *stagedBatch) {
 	if h := testApplyAttrHook.Load(); h != nil {
 		(*h)(a)
 	}
 	ix := s.shards[a].ix
+	deletes, inserts := st.deletes, st.inserts
 	if len(deletes) > 0 {
 		// Collect the touched cluster ids, dedupe, and compact each once.
 		cids := ix.batchCids[:0]
@@ -572,9 +626,18 @@ func (s *Store) applyAttr(a int, deletes []int64, inserts []BatchInsert) {
 		}
 		ix.batchCids = cids[:0]
 	}
-	for _, ins := range inserts {
-		s.Rec(ins.ID)[a] = ix.add(ins.Values[a], ins.ID)
+	newCids := ix.newCids[:0]
+	if c := cap(newCids); c > newCidsKeepCap && c > 4*len(inserts) {
+		newCids = nil
 	}
+	for _, ins := range inserts {
+		cid, prevMax := ix.add(ins.Values[a], ins.ID)
+		s.Rec(ins.ID)[a] = cid
+		if prevMax < st.from {
+			newCids = append(newCids, cid)
+		}
+	}
+	ix.newCids, ix.newFrom, ix.newOK = newCids, st.from, true
 }
 
 // compactCluster removes all dead members of cluster cid in one in-place
@@ -677,14 +740,48 @@ func mustCid(ix *Index, value string) int32 {
 	return cid
 }
 
+// checkNewClusters verifies a valid new-cluster list: it names exactly the
+// clusters with MaxID >= newFrom, each once, ordered by the cluster's first
+// member at or above newFrom.
+func (ix *Index) checkNewClusters(a int) error {
+	if !ix.newOK {
+		return nil
+	}
+	seen := make(map[int32]bool, len(ix.newCids))
+	prevFirst := int64(-1)
+	for _, cid := range ix.newCids {
+		if seen[cid] {
+			return fmt.Errorf("pli: attr %d new-cluster list holds cluster %d twice", a, cid)
+		}
+		seen[cid] = true
+		c := ix.clusters[cid]
+		if c == nil || c.MaxID() < ix.newFrom {
+			return fmt.Errorf("pli: attr %d new-cluster list holds cluster %d with no member >= %d", a, cid, ix.newFrom)
+		}
+		first := c.IDs[sort.Search(len(c.IDs), func(i int) bool { return c.IDs[i] >= ix.newFrom })]
+		if first <= prevFirst {
+			return fmt.Errorf("pli: attr %d new-cluster list not in first-new-member order at cluster %d", a, cid)
+		}
+		prevFirst = first
+	}
+	for cid, c := range ix.clusters {
+		if c.MaxID() >= ix.newFrom && !seen[cid] {
+			return fmt.Errorf("pli: attr %d new-cluster list misses cluster %d (member %d >= %d)", a, cid, c.MaxID(), ix.newFrom)
+		}
+	}
+	return nil
+}
+
 // CheckConsistency verifies the cross-structure invariants: the arena's
 // liveness bookkeeping (page counts, record total, id horizon, freed empty
 // pages), the sharded layout (one shard per attribute, all shard epochs
 // caught up to the finished-batch count — skew means a staged batch reached
 // only some shards), every cluster is sorted, non-empty, inversely indexed,
-// and contains exactly live records that point back at it, and every live
-// record appears in exactly the clusters its compressed record names. It is
-// used by tests and failure-injection suites; it runs in O(data) time.
+// and contains exactly live records that point back at it, every valid
+// new-cluster list names exactly the clusters the last batch grew (see
+// NewClusters), and every live record appears in exactly the clusters its
+// compressed record names. It is used by tests and failure-injection
+// suites; it runs in O(data) time.
 // A store with an open staged batch is mid-mutation by definition and is
 // reported as inconsistent.
 func (s *Store) CheckConsistency() error {
@@ -761,6 +858,9 @@ func (s *Store) CheckConsistency() error {
 		}
 		if len(ix.inverted) != len(ix.clusters) {
 			return fmt.Errorf("pli: attr %d inverted index size %d != clusters %d", a, len(ix.inverted), len(ix.clusters))
+		}
+		if err := ix.checkNewClusters(a); err != nil {
+			return err
 		}
 	}
 	var err error

@@ -16,6 +16,7 @@ var errStagedOpen = errors.New("pli: staged batch open (Finish not called)")
 type stagedBatch struct {
 	deletes []int64
 	inserts []BatchInsert
+	from    int64 // NextID before the batch: the new-cluster list stamp
 }
 
 // StageBatch opens a staged batch application: the decomposed, overlappable
@@ -82,7 +83,7 @@ func (s *Store) StageBatch(deletes []int64, inserts []BatchInsert) error {
 	for _, ins := range inserts {
 		s.setLive(ins.ID)
 	}
-	s.staged = &stagedBatch{deletes: deletes, inserts: inserts}
+	s.staged = &stagedBatch{deletes: deletes, inserts: inserts, from: s.nextID}
 	return nil
 }
 
@@ -106,7 +107,7 @@ func (s *Store) RunAttr(a int) {
 		panic(fmt.Sprintf("pli: RunAttr(%d) called twice in one staged batch (epoch %d, batch %d)",
 			a, got, s.batchEpoch))
 	}
-	s.applyAttr(a, st.deletes, st.inserts)
+	s.applyAttr(a, st)
 	// The increment is the shard-local "maintained" marker; the
 	// happens-before edge readers need is published by the caller.
 	s.shards[a].epoch.Add(1)

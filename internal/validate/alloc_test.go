@@ -10,11 +10,18 @@ import (
 
 // TestFDZeroAllocs pins the zero-allocation contract of the validation
 // kernel (DESIGN.md §9): with a warm Scratch, Scratch.FD performs no
-// allocations per call, across all three rest-width kernels and both the
-// pruned and unpruned paths.
+// allocations per call, across all three rest-width kernels and the
+// unpruned, pruned-scan and touched-cluster-walk paths.
 func TestFDZeroAllocs(t *testing.T) {
 	s := randomStore(t, 3, 500, 6, 4)
+	walked, from := batchedRandomStore(t, 3, 500, 6, 4)
 	sc := NewScratch()
+	for _, lhs := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
+		sc.FD(walked, lhs, 5, from)
+		if allocs := testing.AllocsPerRun(50, func() { sc.FD(walked, lhs, 5, from) }); allocs != 0 {
+			t.Errorf("walk over %v: %v allocs/op, want 0", lhs, allocs)
+		}
+	}
 	cases := []struct {
 		name string
 		lhs  attrset.Set
@@ -38,17 +45,24 @@ func TestFDZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestUniqueZeroAllocs pins the same contract for Scratch.Unique.
+// TestUniqueZeroAllocs pins the same contract for Scratch.Unique, on the
+// full scan and on the touched-cluster walk.
 func TestUniqueZeroAllocs(t *testing.T) {
 	s := randomStore(t, 5, 500, 6, 4)
+	walked, from := batchedRandomStore(t, 5, 500, 6, 4)
 	sc := NewScratch()
 	for _, cols := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
-		sc.Unique(s, cols, NoPruning)
-		allocs := testing.AllocsPerRun(50, func() {
-			sc.Unique(s, cols, NoPruning)
-		})
-		if allocs != 0 {
-			t.Errorf("Unique(%v): %v allocs/op, want 0", cols, allocs)
+		for _, c := range []struct {
+			s        *pli.Store
+			minNewID int64
+		}{{s, NoPruning}, {walked, from}} {
+			sc.Unique(c.s, cols, c.minNewID)
+			allocs := testing.AllocsPerRun(50, func() {
+				sc.Unique(c.s, cols, c.minNewID)
+			})
+			if allocs != 0 {
+				t.Errorf("Unique(%v) minNewID=%d: %v allocs/op, want 0", cols, c.minNewID, allocs)
+			}
 		}
 	}
 }

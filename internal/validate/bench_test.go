@@ -63,18 +63,74 @@ func BenchmarkValidateFD(b *testing.B) {
 	}
 }
 
+// prunedStore bulk-loads 4 rows per pivot cluster and then applies one
+// ApplyBatch of k rows drawn from the same generator, returning the store
+// and the batch's pre-batch horizon. Attribute 0 is the high-cardinality
+// pivot (clusters distinct values), attribute 1 has 50 values, and
+// attribute 2 is a function of both, so {0,1} -> 2 holds and a validation
+// must check every pivot cluster the batch touched.
+func prunedStore(b *testing.B, clusters, k int) (*pli.Store, int64) {
+	b.Helper()
+	const attrs = 8
+	row := func(i int) []string {
+		r := make([]string, attrs)
+		r[0] = fmt.Sprint(i % clusters)
+		r[1] = fmt.Sprint(i % 50)
+		r[2] = fmt.Sprint((i%clusters)*50 + i%50)
+		for a := 3; a < attrs; a++ {
+			r[a] = fmt.Sprint((i*(a+13) + a) % 50)
+		}
+		return r
+	}
+	n := 4 * clusters
+	ins := make([]pli.BatchInsert, n)
+	for i := range ins {
+		ins[i] = pli.BatchInsert{ID: int64(i), Values: row(i)}
+	}
+	s := pli.NewStore(attrs)
+	if err := s.ApplyBatch(nil, ins, 0); err != nil {
+		b.Fatal(err)
+	}
+	from := s.NextID()
+	ins = ins[:k]
+	for j := range ins {
+		// Stride through the pivot domain so the k rows land in k
+		// distinct, pre-existing pivot clusters.
+		i := n + j*(clusters/k)
+		ins[j] = pli.BatchInsert{ID: from + int64(j), Values: row(i)}
+	}
+	if err := s.ApplyBatch(nil, ins, 0); err != nil {
+		b.Fatal(err)
+	}
+	return s, from
+}
+
 // BenchmarkFDValidationClusterPruned measures the insert-side validation
-// with cluster pruning when only the newest record is new — the common
-// steady-state case the paper's §4.2 targets. The pruned run should be
-// orders of magnitude cheaper than the full one above.
+// with cluster pruning after one batch of 100 inserts — the steady state
+// paper §4.2 targets. The pruned validation walks only the pivot clusters
+// the batch touched, so its cost must stay flat from ~1k to ~10k pivot
+// clusters; the full (unpruned) validation of the same candidate grows
+// with the relation and is the reference the pruning is measured against.
 func BenchmarkFDValidationClusterPruned(b *testing.B) {
-	s := benchStore(b, 5000, 8, 50)
-	minNew := s.NextID() - 1
 	lhs := attrset.Of(0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FD(s, lhs, 2, minNew)
+	for _, clusters := range []int{1000, 10000} {
+		s, from := prunedStore(b, clusters, 100)
+		for _, mode := range []struct {
+			name     string
+			minNewID int64
+		}{{"pruned", from}, {"full", NoPruning}} {
+			b.Run(fmt.Sprintf("clusters=%d/%s", clusters, mode.name), func(b *testing.B) {
+				sc := NewScratch()
+				if ok, _ := sc.FD(s, lhs, 2, mode.minNewID); !ok {
+					b.Fatal("benchmark FD must hold")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sc.FD(s, lhs, 2, mode.minNewID)
+				}
+			})
+		}
 	}
 }
 

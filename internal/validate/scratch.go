@@ -159,24 +159,50 @@ func (sc *Scratch) FD(s *pli.Store, lhs attrset.Set, rhs int, minNewID int64) (v
 	pivot := pickPivot(s, lhs)
 	k := sc.setRest(lhs.Without(pivot))
 	valid = true
-	s.Index(pivot).ForEachCluster(func(_ int32, c *pli.Cluster) bool {
-		if c.Size() < 2 {
-			return true // a single record cannot violate anything
-		}
-		if minNewID >= 0 && c.MaxID() < minNewID {
-			return true // cluster pruning: no new record in this cluster
-		}
-		switch k {
-		case 0:
-			valid, w = fdCheckWholeCluster(s, c, rhs)
-		case 1:
-			valid, w = sc.fdCheckSingle(s, c, sc.rest[0], rhs)
-		default:
-			valid, w = sc.fdCheckTuple(s, c, rhs)
-		}
+	forEachPivotCluster(s.Index(pivot), minNewID, func(c *pli.Cluster) bool {
+		valid, w = sc.fdCluster(s, c, k, rhs)
 		return valid
 	})
 	return valid, w
+}
+
+// forEachPivotCluster calls fn, until it returns false, for every pivot
+// cluster a validation with bound minNewID must check: all clusters for
+// NoPruning, otherwise only those holding a record with id >= minNewID
+// (cluster pruning). When minNewID is the horizon of the store's last
+// batch, those are exactly the clusters the batch grew, walked in
+// first-new-member order; any other bound scans every cluster and skips
+// the old ones.
+func forEachPivotCluster(ix *pli.Index, minNewID int64, fn func(c *pli.Cluster) bool) {
+	if cids, ok := ix.NewClusters(minNewID); ok {
+		for _, cid := range cids {
+			if !fn(ix.Cluster(cid)) {
+				return
+			}
+		}
+		return
+	}
+	ix.ForEachCluster(func(_ int32, c *pli.Cluster) bool {
+		if minNewID >= 0 && c.MaxID() < minNewID {
+			return true // no new record in this cluster
+		}
+		return fn(c)
+	})
+}
+
+// fdCluster checks one pivot cluster, dispatching on the rest width k.
+func (sc *Scratch) fdCluster(s *pli.Store, c *pli.Cluster, k, rhs int) (bool, Witness) {
+	if c.Size() < 2 {
+		return true, Witness{} // a single record cannot violate anything
+	}
+	switch k {
+	case 0:
+		return fdCheckWholeCluster(s, c, rhs)
+	case 1:
+		return sc.fdCheckSingle(s, c, sc.rest[0], rhs)
+	default:
+		return sc.fdCheckTuple(s, c, rhs)
+	}
 }
 
 // fdCheckWholeCluster handles |rest| == 0: the pivot cluster is one group,
@@ -279,28 +305,24 @@ func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (uniqu
 	pivot := pickPivot(s, cols)
 	k := sc.setRest(cols.Without(pivot))
 	unique = true
-	s.Index(pivot).ForEachCluster(func(_ int32, c *pli.Cluster) bool {
-		if c.Size() < 2 {
-			return true
-		}
-		if minNewID >= 0 && c.MaxID() < minNewID {
-			return true // cluster pruning
-		}
-		if k == 0 {
-			// The whole cluster agrees on cols = {pivot}: any two members
-			// collide.
-			unique, w = false, Witness{A: c.IDs[0], B: c.IDs[1]}
-			return false
-		}
-		unique, w = sc.uniqueCheckCluster(s, c)
+	forEachPivotCluster(s.Index(pivot), minNewID, func(c *pli.Cluster) bool {
+		unique, w = sc.uniqueCheckCluster(s, c, k)
 		return unique
 	})
 	return unique, w
 }
 
-// uniqueCheckCluster probes the rest tuples of one pivot cluster; any
-// repeated tuple is a collision.
-func (sc *Scratch) uniqueCheckCluster(s *pli.Store, c *pli.Cluster) (bool, Witness) {
+// uniqueCheckCluster probes the rest tuples of one pivot cluster (rest
+// width k); any repeated tuple is a collision.
+func (sc *Scratch) uniqueCheckCluster(s *pli.Store, c *pli.Cluster, k int) (bool, Witness) {
+	if c.Size() < 2 {
+		return true, Witness{}
+	}
+	if k == 0 {
+		// The whole cluster agrees on cols = {pivot}: any two members
+		// collide.
+		return false, Witness{A: c.IDs[0], B: c.IDs[1]}
+	}
 	slots := sc.table(tableSize(c.Size()))
 	mask := uint32(len(slots) - 1)
 	sc.keys, sc.rep = sc.keys[:0], sc.rep[:0]

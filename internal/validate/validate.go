@@ -14,9 +14,13 @@
 // The dynamic variant adds DynFD's cluster pruning: when only previously
 // valid FDs are re-validated after inserts, a violation must involve at
 // least one newly inserted record, so pivot clusters whose newest member
-// predates the batch can be skipped wholesale. Because cluster id slices
-// are sorted and surrogate ids grow monotonically, that test is a single
-// comparison against the cluster's last element.
+// predates the batch can be skipped wholesale. When minNewID is the
+// horizon of the store's last batch, the kernels walk the pivot index's
+// list of clusters that batch grew (pli.Index.NewClusters), so the work is
+// proportional to the batch, not to the relation (DESIGN.md §17).
+// Otherwise they scan every pivot cluster and skip the old ones; because
+// cluster id slices are sorted and surrogate ids grow monotonically, that
+// test is a single comparison against the cluster's last element.
 package validate
 
 import (
@@ -39,7 +43,9 @@ const NoPruning int64 = -1
 // If minNewID >= 0, cluster pruning is applied: only pivot clusters that
 // contain a record with id >= minNewID are checked. This is sound exactly
 // when the candidate was valid before the records with ids >= minNewID
-// were inserted (paper §4.2).
+// were inserted (paper §4.2). When minNewID is the pre-batch horizon of
+// the store's last batch, those clusters are visited through the batch's
+// new-cluster list, in the order their first new member arrived.
 //
 // On failure it returns valid == false and a violating record pair.
 //
