@@ -86,15 +86,21 @@ func fdsPayload(t *testing.T, data []byte) string {
 	return string(out)
 }
 
-// waitReplica polls the follower daemon until tenant t0 reports seq want,
-// returning the fds payload observed there.
+// waitReplica polls the follower daemon until tenant t0 reports seq want
+// and has published the snapshot of that seq, returning the fds payload
+// observed there.
 func waitReplica(t *testing.T, d *httpDaemon, want uint64) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if code, data := d.do(t, "GET", "/v1/tenants/t0", ""); code == 200 {
-			var st tenantState
-			if err := json.Unmarshal(data, &st); err == nil && st.Seq == want {
+			// The published snapshot (which serves fds and records) can
+			// trail the durable seq by a batch, so wait for both.
+			var st struct {
+				Seq         uint64 `json:"seq"`
+				SnapshotSeq uint64 `json:"snapshot_seq"`
+			}
+			if err := json.Unmarshal(data, &st); err == nil && st.Seq == want && st.SnapshotSeq == want {
 				code, fds := d.do(t, "GET", "/v1/tenants/t0/fds", "")
 				if code != 200 {
 					t.Fatalf("follower fds = %d %s", code, fds)

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dynfd/internal/attrset"
@@ -11,11 +12,19 @@ import (
 // TestFDZeroAllocs pins the zero-allocation contract of the validation
 // kernel (DESIGN.md §9): with a warm Scratch, Scratch.FD performs no
 // allocations per call, across all three rest-width kernels and the
-// unpruned, pruned-scan and touched-cluster-walk paths.
+// unpruned, pruned-scan, touched-cluster-walk and new-tail paths.
 func TestFDZeroAllocs(t *testing.T) {
 	s := randomStore(t, 3, 500, 6, 4)
 	walked, from := batchedRandomStore(t, 3, 500, 6, 4)
 	sc := NewScratch()
+	tailed, tailFrom := tailStore(t, rand.New(rand.NewSource(3)), 4, 0, false)
+	requireTailPath(t, tailed, 0, tailFrom)
+	for _, lhs := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
+		sc.FD(tailed, lhs, 3, tailFrom)
+		if allocs := testing.AllocsPerRun(50, func() { sc.FD(tailed, lhs, 3, tailFrom) }); allocs != 0 {
+			t.Errorf("new tail over %v: %v allocs/op, want 0", lhs, allocs)
+		}
+	}
 	for _, lhs := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
 		sc.FD(walked, lhs, 5, from)
 		if allocs := testing.AllocsPerRun(50, func() { sc.FD(walked, lhs, 5, from) }); allocs != 0 {
@@ -46,11 +55,19 @@ func TestFDZeroAllocs(t *testing.T) {
 }
 
 // TestUniqueZeroAllocs pins the same contract for Scratch.Unique, on the
-// full scan and on the touched-cluster walk.
+// full scan, the touched-cluster walk and the new-tail path.
 func TestUniqueZeroAllocs(t *testing.T) {
 	s := randomStore(t, 5, 500, 6, 4)
 	walked, from := batchedRandomStore(t, 5, 500, 6, 4)
 	sc := NewScratch()
+	tailed, tailFrom := tailStore(t, rand.New(rand.NewSource(5)), 4, 2, false)
+	requireTailPath(t, tailed, 5, tailFrom)
+	for _, cols := range []attrset.Set{attrset.Of(5, 6), attrset.Of(1, 5, 6)} {
+		sc.Unique(tailed, cols, tailFrom)
+		if allocs := testing.AllocsPerRun(50, func() { sc.Unique(tailed, cols, tailFrom) }); allocs != 0 {
+			t.Errorf("new tail Unique(%v): %v allocs/op, want 0", cols, allocs)
+		}
+	}
 	for _, cols := range []attrset.Set{attrset.Of(0), attrset.Of(0, 1), attrset.Of(0, 1, 2)} {
 		for _, c := range []struct {
 			s        *pli.Store
@@ -63,6 +80,22 @@ func TestUniqueZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("Unique(%v) minNewID=%d: %v allocs/op, want 0", cols, c.minNewID, allocs)
 			}
+		}
+	}
+}
+
+// requireTailPath fails unless every pivot cluster of attribute a that the
+// batch with horizon from touched takes the new-tail path.
+func requireTailPath(t *testing.T, s *pli.Store, a int, from int64) {
+	t.Helper()
+	ix := s.Index(a)
+	cids, ok := ix.NewClusters(from)
+	if !ok || len(cids) == 0 {
+		t.Fatalf("attr %d: no touched clusters for horizon %d", a, from)
+	}
+	for _, cid := range cids {
+		if _, ok := tailStart(ix.Cluster(cid).IDs, from); !ok {
+			t.Fatalf("attr %d cluster %d: new tail longer than %d", a, cid, maxTail)
 		}
 	}
 }

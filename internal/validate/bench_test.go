@@ -63,13 +63,13 @@ func BenchmarkValidateFD(b *testing.B) {
 	}
 }
 
-// prunedStore bulk-loads 4 rows per pivot cluster and then applies one
-// ApplyBatch of k rows drawn from the same generator, returning the store
-// and the batch's pre-batch horizon. Attribute 0 is the high-cardinality
-// pivot (clusters distinct values), attribute 1 has 50 values, and
-// attribute 2 is a function of both, so {0,1} -> 2 holds and a validation
-// must check every pivot cluster the batch touched.
-func prunedStore(b *testing.B, clusters, k int) (*pli.Store, int64) {
+// prunedStore bulk-loads members rows per pivot cluster and then applies
+// one ApplyBatch of k rows drawn from the same generator, returning the
+// store and the batch's pre-batch horizon. Attribute 0 is the
+// high-cardinality pivot (clusters distinct values), attribute 1 has 50
+// values, and attribute 2 is a function of both, so {0,1} -> 2 holds and a
+// validation must check every pivot cluster the batch touched.
+func prunedStore(b *testing.B, clusters, members, k int) (*pli.Store, int64) {
 	b.Helper()
 	const attrs = 8
 	row := func(i int) []string {
@@ -82,7 +82,7 @@ func prunedStore(b *testing.B, clusters, k int) (*pli.Store, int64) {
 		}
 		return r
 	}
-	n := 4 * clusters
+	n := members * clusters
 	ins := make([]pli.BatchInsert, n)
 	for i := range ins {
 		ins[i] = pli.BatchInsert{ID: int64(i), Values: row(i)}
@@ -106,31 +106,45 @@ func prunedStore(b *testing.B, clusters, k int) (*pli.Store, int64) {
 }
 
 // BenchmarkFDValidationClusterPruned measures the insert-side validation
-// with cluster pruning after one batch of 100 inserts — the steady state
-// paper §4.2 targets. The pruned validation walks only the pivot clusters
-// the batch touched, so its cost must stay flat from ~1k to ~10k pivot
-// clusters; the full (unpruned) validation of the same candidate grows
-// with the relation and is the reference the pruning is measured against.
+// with cluster pruning after one batch of inserts — the steady state paper
+// §4.2 targets. The clusters= cases apply 100 inserts over 1k and 10k
+// pivot clusters of 4 records: the pruned validation walks only the pivot
+// clusters the batch touched, so its cost must stay flat; the full
+// (unpruned) validation of the same candidate grows with the relation and
+// is the reference the pruning is measured against. The members= cases
+// sweep the size of the touched pivot clusters (16, 256 and 4096 records,
+// 64k records in all) with one new record in each of 16 of them: the
+// new-tail path compares that record against the old members only until
+// the first equal rest tuple, so its cost must not grow with the cluster
+// as the table kernels' did (DESIGN.md §18).
 func BenchmarkFDValidationClusterPruned(b *testing.B) {
 	lhs := attrset.Of(0, 1)
+	type mode struct {
+		name     string
+		minNewID int64
+	}
+	run := func(name string, s *pli.Store, minNewID int64) {
+		b.Run(name, func(b *testing.B) {
+			sc := NewScratch()
+			if ok, _ := sc.FD(s, lhs, 2, minNewID); !ok {
+				b.Fatal("benchmark FD must hold")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.FD(s, lhs, 2, minNewID)
+			}
+		})
+	}
 	for _, clusters := range []int{1000, 10000} {
-		s, from := prunedStore(b, clusters, 100)
-		for _, mode := range []struct {
-			name     string
-			minNewID int64
-		}{{"pruned", from}, {"full", NoPruning}} {
-			b.Run(fmt.Sprintf("clusters=%d/%s", clusters, mode.name), func(b *testing.B) {
-				sc := NewScratch()
-				if ok, _ := sc.FD(s, lhs, 2, mode.minNewID); !ok {
-					b.Fatal("benchmark FD must hold")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sc.FD(s, lhs, 2, mode.minNewID)
-				}
-			})
+		s, from := prunedStore(b, clusters, 4, 100)
+		for _, m := range []mode{{"pruned", from}, {"full", NoPruning}} {
+			run(fmt.Sprintf("clusters=%d/%s", clusters, m.name), s, m.minNewID)
 		}
+	}
+	for _, members := range []int{16, 256, 4096} {
+		s, from := prunedStore(b, 65536/members, members, 16)
+		run(fmt.Sprintf("members=%d/pruned", members), s, from)
 	}
 }
 

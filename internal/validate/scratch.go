@@ -23,11 +23,23 @@
 // second counting pass over the same table to derive per-group Rhs
 // statistics (distinct values and plurality count) without its former
 // map[int32]int per group.
+//
+// A fourth kernel, the new-tail path (DESIGN.md §18), serves the pruned
+// FD and Unique calls. Cluster ids are ascending, so the records with id
+// >= minNewID form the tail of each pivot cluster; when that tail holds at
+// most maxTail records, each tail record is compared directly, with early
+// exit, against the records before it, and no table is built. Under the
+// pruning precondition (the candidate held before the records >= minNewID
+// arrived) it returns exactly the table kernels' verdict and witness.
+// Outside that precondition it may miss a violation between two old
+// records, which the table kernels would have reported.
 package validate
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"dynfd/internal/attrset"
 	"dynfd/internal/pli"
@@ -39,7 +51,9 @@ import (
 // warms up (grows its buffers to the workload's cluster sizes) over the
 // first few calls.
 type Scratch struct {
-	rest []int // rest attributes of the current candidate, ascending
+	// Rest attributes of the current candidate: most clusters first for
+	// FD and Unique (setRestBySelectivity), ascending for Violations.
+	rest []int
 
 	// Open-addressing table, shared by the grouping and counting passes.
 	// slots[i] holds a group/pair index + 1, 0 means empty. The table is
@@ -81,6 +95,24 @@ func (sc *Scratch) setRest(rest attrset.Set) int {
 		sc.rest = append(sc.rest, a)
 	}
 	return len(sc.rest)
+}
+
+// setRestBySelectivity is setRest with the rest attributes ordered by
+// descending cluster count (ties by ascending index): two records then
+// usually differ on the first attribute compared, so the new-tail path's
+// early-exit compare stops after one lookup. Grouping depends only on
+// tuple equality, not on attribute order, so no kernel's result changes.
+func (sc *Scratch) setRestBySelectivity(s *pli.Store, rest attrset.Set) int {
+	k := sc.setRest(rest)
+	for i := 1; i < k; i++ {
+		a, n := sc.rest[i], s.Index(sc.rest[i]).NumClusters()
+		j := i
+		for ; j > 0 && s.Index(sc.rest[j-1]).NumClusters() < n; j-- {
+			sc.rest[j] = sc.rest[j-1]
+		}
+		sc.rest[j] = a
+	}
+	return k
 }
 
 // tableSize returns the open-addressing table size for a cluster of m
@@ -157,10 +189,10 @@ func (sc *Scratch) FD(s *pli.Store, lhs attrset.Set, rhs int, minNewID int64) (v
 		return constantColumn(s, rhs)
 	}
 	pivot := pickPivot(s, lhs)
-	k := sc.setRest(lhs.Without(pivot))
+	k := sc.setRestBySelectivity(s, lhs.Without(pivot))
 	valid = true
 	forEachPivotCluster(s.Index(pivot), minNewID, func(c *pli.Cluster) bool {
-		valid, w = sc.fdCluster(s, c, k, rhs)
+		valid, w = sc.fdCluster(s, c, k, rhs, minNewID)
 		return valid
 	})
 	return valid, w
@@ -190,11 +222,122 @@ func forEachPivotCluster(ix *pli.Index, minNewID int64, fn func(c *pli.Cluster) 
 	})
 }
 
-// fdCluster checks one pivot cluster, dispatching on the rest width k.
-func (sc *Scratch) fdCluster(s *pli.Store, c *pli.Cluster, k, rhs int) (bool, Witness) {
+// maxTail is the longest new tail the new-tail path checks; a longer one
+// (a bulk load, a batch crowding into one cluster) goes to the table
+// kernels, whose cost does not grow with the tail. Thresholds of 4 to 64
+// measured within 9% of each other on the single history, 1 was slowest
+// (DESIGN.md §18).
+const maxTail = 16
+
+// tailStart returns the position of the first record with id >= minNewID
+// in the ascending ids when the new-tail path applies: pruning is on and
+// at most maxTail records are new. ok is false otherwise.
+func tailStart(ids []int64, minNewID int64) (from int, ok bool) {
+	if minNewID < 0 {
+		return 0, false
+	}
+	from = len(ids)
+	for from > 0 && ids[from-1] >= minNewID {
+		if len(ids)-from == maxTail {
+			return 0, false
+		}
+		from--
+	}
+	return from, true
+}
+
+// tailCheckHook, when set, makes every new-tail check re-run the table
+// kernel on the same cluster (SetTailCheckTestHook).
+var tailCheckHook atomic.Pointer[func(err error)]
+
+// SetTailCheckTestHook installs h (nil clears) as the test-only new-tail
+// cross-check: every pruned FD or Unique check that takes the new-tail
+// path also runs the table kernel on the same pivot cluster and calls h
+// with nil when both agree, or with an error describing the difference in
+// verdict or witness. A difference means a caller passed a minNewID whose
+// precondition does not hold. Tests that install a hook must clear it
+// before returning; production code never sets it.
+func SetTailCheckTestHook(h func(err error)) {
+	if h == nil {
+		tailCheckHook.Store(nil)
+		return
+	}
+	tailCheckHook.Store(&h)
+}
+
+// crossCheck hands h the comparison of a new-tail result with the table
+// kernel's on the same cluster.
+func crossCheck(h *func(error), kernel string, c *pli.Cluster, from int, tail bool, tw Witness, table bool, w Witness) {
+	var err error
+	if tail != table || tw != w {
+		err = fmt.Errorf("validate: %s new-tail check of a %d-record cluster (tail from %d) = %v %v, table kernel = %v %v",
+			kernel, c.Size(), from, tail, tw, table, w)
+	}
+	(*h)(err)
+}
+
+// fdCluster checks one pivot cluster: through the new-tail path when it
+// applies, otherwise through the table kernel for rest width k.
+func (sc *Scratch) fdCluster(s *pli.Store, c *pli.Cluster, k, rhs int, minNewID int64) (bool, Witness) {
 	if c.Size() < 2 {
 		return true, Witness{} // a single record cannot violate anything
 	}
+	from, ok := tailStart(c.IDs, minNewID)
+	if !ok {
+		return sc.fdTable(s, c, k, rhs)
+	}
+	valid, w := sc.fdTail(s, c.IDs, from, k, rhs)
+	if h := tailCheckHook.Load(); h != nil {
+		tv, tw := sc.fdTable(s, c, k, rhs)
+		crossCheck(h, "FD", c, from, valid, w, tv, tw)
+	}
+	return valid, w
+}
+
+// fdTail is the new-tail path for FDs: each record at or after position
+// from is checked, in ascending order, against the first earlier record
+// with an equal rest tuple (for k == 0, against IDs[0]). That record is
+// the first member of the table kernels' group, and under the pruning
+// precondition no old record conflicts with its group's first member, so
+// the first conflict found here is the one the table kernels report.
+func (sc *Scratch) fdTail(s *pli.Store, ids []int64, from, k, rhs int) (bool, Witness) {
+	from = max(from, 1)
+	if k == 0 {
+		want := s.Rec(ids[0])[rhs]
+		for _, id := range ids[from:] {
+			if s.Rec(id)[rhs] != want {
+				return false, Witness{A: ids[0], B: id}
+			}
+		}
+		return true, Witness{}
+	}
+	for p := from; p < len(ids); p++ {
+		rp := s.Rec(ids[p])
+		if q := sc.firstEqualRest(s, ids[:p], rp); q >= 0 && s.Rec(ids[q])[rhs] != rp[rhs] {
+			return false, Witness{A: ids[q], B: ids[p]}
+		}
+	}
+	return true, Witness{}
+}
+
+// firstEqualRest returns the position of the first record in ids whose
+// rest tuple equals rec's, or -1.
+func (sc *Scratch) firstEqualRest(s *pli.Store, ids []int64, rec pli.Record) int {
+next:
+	for q, id := range ids {
+		rq := s.Rec(id)
+		for _, a := range sc.rest {
+			if rq[a] != rec[a] {
+				continue next
+			}
+		}
+		return q
+	}
+	return -1
+}
+
+// fdTable checks one pivot cluster on the table kernel for rest width k.
+func (sc *Scratch) fdTable(s *pli.Store, c *pli.Cluster, k, rhs int) (bool, Witness) {
 	switch k {
 	case 0:
 		return fdCheckWholeCluster(s, c, rhs)
@@ -303,13 +446,42 @@ func (sc *Scratch) Unique(s *pli.Store, cols attrset.Set, minNewID int64) (uniqu
 		return false, Witness{A: a, B: b}
 	}
 	pivot := pickPivot(s, cols)
-	k := sc.setRest(cols.Without(pivot))
+	k := sc.setRestBySelectivity(s, cols.Without(pivot))
 	unique = true
 	forEachPivotCluster(s.Index(pivot), minNewID, func(c *pli.Cluster) bool {
-		unique, w = sc.uniqueCheckCluster(s, c, k)
+		unique, w = sc.uniqueCluster(s, c, k, minNewID)
 		return unique
 	})
 	return unique, w
+}
+
+// uniqueCluster checks one pivot cluster: through the new-tail path when
+// it applies and the rest is not empty, otherwise through the table
+// kernel. For k == 0 the table kernel is O(1) already.
+func (sc *Scratch) uniqueCluster(s *pli.Store, c *pli.Cluster, k int, minNewID int64) (bool, Witness) {
+	from, ok := tailStart(c.IDs, minNewID)
+	if !ok || k == 0 || c.Size() < 2 {
+		return sc.uniqueCheckCluster(s, c, k)
+	}
+	unique, w := sc.uniqueTail(s, c.IDs, from)
+	if h := tailCheckHook.Load(); h != nil {
+		tv, tw := sc.uniqueCheckCluster(s, c, k)
+		crossCheck(h, "Unique", c, from, unique, w, tv, tw)
+	}
+	return unique, w
+}
+
+// uniqueTail is the new-tail path for uniqueness (rest width >= 1): the
+// first tail record whose rest tuple equals an earlier record's collides
+// with the first such record. Under the pruning precondition the old
+// records are pairwise distinct, so this is the table kernel's collision.
+func (sc *Scratch) uniqueTail(s *pli.Store, ids []int64, from int) (bool, Witness) {
+	for p := max(from, 1); p < len(ids); p++ {
+		if q := sc.firstEqualRest(s, ids[:p], s.Rec(ids[p])); q >= 0 {
+			return false, Witness{A: ids[q], B: ids[p]}
+		}
+	}
+	return true, Witness{}
 }
 
 // uniqueCheckCluster probes the rest tuples of one pivot cluster (rest

@@ -86,11 +86,20 @@ func applyRandomBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int, stag
 	for i, n := 0, 1+r.Intn(8); i < n; i++ {
 		inserts = append(inserts, pli.BatchInsert{ID: from + int64(i), Values: randomRow(r, s.NumAttrs(), domain)})
 	}
+	applyBatch(t, r, s, deletes, inserts, staged)
+	return from
+}
+
+// applyBatch applies deletes and inserts to s through ApplyBatch (with a
+// random worker count) or through the staged StageBatch+RunAttr+Finish
+// form, attributes maintained in a shuffled order.
+func applyBatch(t *testing.T, r *rand.Rand, s *pli.Store, deletes []int64, inserts []pli.BatchInsert, staged bool) {
+	t.Helper()
 	if !staged {
 		if err := s.ApplyBatch(deletes, inserts, r.Intn(3)); err != nil {
 			t.Fatal(err)
 		}
-		return from
+		return
 	}
 	if err := s.StageBatch(deletes, inserts); err != nil {
 		t.Fatal(err)
@@ -101,7 +110,6 @@ func applyRandomBatch(t *testing.T, r *rand.Rand, s *pli.Store, domain int, stag
 	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return from
 }
 
 // TestTouchedWalkMatchesFullScan checks the touched-cluster walk of

@@ -21,6 +21,17 @@
 // Otherwise they scan every pivot cluster and skip the old ones; because
 // cluster id slices are sorted and surrogate ids grow monotonically, that
 // test is a single comparison against the cluster's last element.
+//
+// Inside each visited cluster the same argument goes one step further: the
+// new records are the cluster's tail, and every violation pairs a tail
+// record with some earlier one. The new-tail kernel (scratch.go, DESIGN.md
+// §18) compares only the tail records against the rest of the cluster,
+// with early exit and no hash table, whenever the tail holds at most
+// maxTail records. Under the pruning precondition it returns exactly the
+// table kernels' verdict and witness. Outside it, a pruned call may now
+// miss a violation between two old records even inside a visited cluster,
+// so a caller must not pass a minNewID for a candidate that did not hold
+// before the records >= minNewID arrived.
 package validate
 
 import (
@@ -41,11 +52,13 @@ const NoPruning int64 = -1
 // FD validates the candidate lhs → rhs against the store.
 //
 // If minNewID >= 0, cluster pruning is applied: only pivot clusters that
-// contain a record with id >= minNewID are checked. This is sound exactly
-// when the candidate was valid before the records with ids >= minNewID
-// were inserted (paper §4.2). When minNewID is the pre-batch horizon of
-// the store's last batch, those clusters are visited through the batch's
-// new-cluster list, in the order their first new member arrived.
+// contain a record with id >= minNewID are checked, and within them only
+// the pairs involving such a record. This is sound exactly when the
+// candidate was valid before the records with ids >= minNewID were
+// inserted (paper §4.2); without that precondition the result may miss
+// violations among older records. When minNewID is the pre-batch horizon
+// of the store's last batch, those clusters are visited through the
+// batch's new-cluster list, in the order their first new member arrived.
 //
 // On failure it returns valid == false and a violating record pair.
 //
@@ -140,7 +153,8 @@ func trimGroups(groups []ViolationGroup, max int) []ViolationGroup {
 // Unique checks whether the column combination cols is unique: no two
 // records agree on all of cols. Like FD it supports cluster pruning via
 // minNewID (sound when cols was unique before the records with ids >=
-// minNewID arrived) and returns a colliding record pair on failure.
+// minNewID arrived; otherwise collisions among older records may be
+// missed) and returns a colliding record pair on failure.
 //
 // This form borrows a pooled Scratch; hot paths should hold their own and
 // call Scratch.Unique.
