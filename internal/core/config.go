@@ -63,38 +63,25 @@ type Config struct {
 	// 3 of the paper's §8.
 	UpdateColumnPruning bool
 
-	// Workers selects the batch execution engine and its worker budget.
-	// 0 (the default) keeps the fully serial reference path — per-level
-	// scan/merge on one goroutine (DESIGN.md §8). n >= 1 runs batches on
-	// the work-stealing pipelined scheduler (DESIGN.md §13): candidate
-	// validations are chunked across n worker slots' deques (slot 0 is the
-	// engine goroutine itself; n == 1 therefore runs the scheduler path
-	// inline, with no extra goroutines), per-attribute store maintenance
-	// overlaps validation through readiness gating, and the next lattice
-	// level is validated speculatively while the current one merges.
-	// n < 0 uses one slot per available CPU (GOMAXPROCS). All settings
-	// produce identical FD and non-FD covers after every batch — the
-	// serial-equivalence guarantee, asserted by the equivalence property
-	// tests. (Work counters may drift between any two runs, serial or not,
-	// because witnesses of unpruned validations — the delete sweep and
-	// insert sweeps with cluster pruning off — follow Go's random map
+	// Workers sets the worker budget of the pipelined batch scheduler
+	// (DESIGN.md §13). 0 (the default) and 1 run it inline on the calling
+	// goroutine: one slot, no extra goroutines. n >= 2 adds n-1 background
+	// workers: candidate validations are chunked across the slots' deques
+	// with work stealing, per-attribute store maintenance overlaps
+	// validation through readiness gating, and the next lattice level is
+	// validated speculatively while the current one merges. n < 0 uses
+	// one slot per available CPU (GOMAXPROCS). All settings produce
+	// identical FD and non-FD covers after every batch — the worker-count
+	// equivalence guarantee, asserted by the equivalence property tests
+	// and the golden covers. (Work counters may drift between any two
+	// runs because witnesses of unpruned validations — the delete sweep
+	// and insert sweeps with cluster pruning off — follow Go's random map
 	// iteration order, and witnesses steer the result-neutral validation
 	// pruning. Cluster-pruned insert validations walk the batch's touched
 	// pivot clusters in a deterministic order, except after a batch whose
 	// last inserts died within it, which falls back to the full scan.)
 	// The knob changes wall-clock time only.
 	Workers int
-	// StealChunk is the number of candidate validations bundled into one
-	// stealable scheduler task. 0 picks a size automatically from the
-	// level width and worker count. Tiny values (1) maximize stealing and
-	// are used by the equivalence tests to force the stealing paths; they
-	// are not efficient. Ignored when Workers == 0.
-	StealChunk int
-	// DisableStealing keeps every scheduler worker on its own deque (the
-	// engine's merge loop still claims any chunk it waits on directly). A
-	// benchmark ablation knob for isolating the stealing win; not a
-	// production setting. Ignored when Workers == 0.
-	DisableStealing bool
 }
 
 // DefaultConfig returns the paper's configuration — all four pruning
@@ -134,7 +121,6 @@ type Stats struct {
 	Comparisons            int // record pairs compared by the violation search
 	ViolationSearchRuns    int // times the progressive search was triggered
 	DepthFirstSearchRuns   int // times the optimistic DFS was triggered
-	ParallelLevels         int // lattice levels whose validations fanned out across workers
 	DeltaPruned            int // insert-side validations skipped by agree-mask delta pruning
 	WitnessRepairs         int // delete-side witnesses remapped to live update versions
 	ChunksStolen           int // scheduler chunks taken from another worker's deque

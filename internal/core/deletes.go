@@ -3,70 +3,14 @@ package core
 import (
 	"dynfd/internal/attrset"
 	"dynfd/internal/fd"
-	"dynfd/internal/validate"
 
 	"dynfd/internal/lattice"
 )
 
-// processDeletes implements the lattice-traversal non-FD validation for
-// delete batches (paper §5.1, Algorithm 4). Deletes can only resolve
-// violations, so the negative cover is validated level-wise from the most
-// specific to the most general non-FDs; non-FDs that became valid move to
-// the positive cover and are replaced by their maximal generalizations,
-// which the traversal validates on the next (lower) level. Validation
-// pruning (§5.2) skips every non-FD whose annotated violating record pair
-// is still alive. When a level yields too many newly valid FDs, optimistic
-// depth-first searches (§5.3) chase the generalizations ahead of the
-// level-wise sweep.
-//
-// Like the insert side, each level runs as a read-only scan phase followed
-// by a serial merge phase in candidate order. This is the Workers == 0
-// reference path; Workers >= 1 runs the same classification and merge on
-// the pipelined scheduler (pipeline.go).
-func (e *Engine) processDeletes(touched attrset.Set) error {
-	for level := e.numAttrs; level >= 0; level-- {
-		candidates := e.nonFds.Level(level)
-		if len(candidates) == 0 {
-			continue
-		}
-		// Scan: classify and validate without mutating any engine state
-		// (the witness repair inside classifyDelete only refreshes
-		// annotations, which no validation reads).
-		outcomes, err := e.scanLevel(candidates, validate.NoPruning, func(nonFd fd.FD) scanKind {
-			return e.classifyDelete(nonFd, touched)
-		})
-		if err != nil {
-			return err
-		}
-		// Merge: account the work, refresh the witnesses of still-invalid
-		// non-FDs, and collect the newly valid FDs in candidate order.
-		var validFds []fd.FD
-		for i, nonFd := range candidates {
-			if e.applyDeleteOutcome(nonFd, outcomes[i]) {
-				validFds = append(validFds, nonFd)
-			}
-		}
-		for _, f := range validFds {
-			if !e.nonFds.Contains(f.Lhs, f.Rhs) {
-				continue
-			}
-			e.promoteNonFD(f)
-		}
-		// Lines 15-16: optimistic depth-first searches when the level-wise
-		// sweep becomes inefficient.
-		if e.cfg.DepthFirstSearch &&
-			float64(len(validFds)) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
-			e.depthFirstSearches(validFds)
-		}
-	}
-	return nil
-}
-
 // classifyDelete decides one negative-cover candidate's fate for the
-// delete sweep. Shared by the serial scan and the pipelined scheduler.
-// Under the scheduler the caller must have awaited the candidate's
-// Lhs∪{Rhs} shards: the witness repair inside needsValidation reads their
-// cluster ids.
+// delete sweep. The caller must have awaited the candidate's Lhs∪{Rhs}
+// shards: the witness repair inside needsValidation reads their cluster
+// ids.
 func (e *Engine) classifyDelete(nonFd fd.FD, touched attrset.Set) scanKind {
 	if !e.nonFds.Contains(nonFd.Lhs, nonFd.Rhs) {
 		return scanStale // removed by a depth-first search in this level

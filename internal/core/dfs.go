@@ -49,7 +49,7 @@ func (e *Engine) depthFirst(f fd.FD, visited map[fd.FD]bool) {
 		if !valid {
 			e.stats.Validations++
 			// Depth-first searches run on the engine goroutine (merge
-			// phase), so the serial slot-0 scratch is free to reuse.
+			// phase), so the coordinator's slot-0 scratch is free to reuse.
 			valid, _ = e.scratch.Serial().FD(e.store, gen.Lhs, gen.Rhs, validate.NoPruning)
 		}
 		if valid {

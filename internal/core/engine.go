@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -20,7 +19,6 @@ import (
 
 	"dynfd/internal/attrset"
 	"dynfd/internal/dataset"
-	"dynfd/internal/fanout"
 	"dynfd/internal/fd"
 	"dynfd/internal/hyfd"
 	"dynfd/internal/induct"
@@ -34,9 +32,9 @@ import (
 // Engine maintains the exact set of minimal, non-trivial FDs of a single
 // relation under batches of inserts, updates, and deletes. An Engine is not
 // safe for concurrent use: callers must serialize access. Internally,
-// ApplyBatch may fan candidate validations out across a bounded worker
-// pool (Config.Workers, see parallel.go); that parallelism never escapes a
-// call.
+// ApplyBatch may spread store maintenance and candidate validations across
+// a bounded worker pool (Config.Workers, see pipeline.go); that
+// parallelism never escapes a call.
 type Engine struct {
 	cfg      Config
 	numAttrs int
@@ -44,9 +42,8 @@ type Engine struct {
 	fds      *lattice.Cover      // positive cover: all minimal FDs
 	nonFds   lattice.View        // negative cover: all maximal non-FDs (complement-keyed)
 	keySet   attrset.Set         // declared unique columns (Config.KeyColumns)
-	workers  int                 // resolved worker-slot budget (0 = serial reference path)
-	pool     *sched.Pool         // work-stealing pipelined scheduler (nil when workers == 0)
-	scratch  *validate.Scratches // per-worker validation kernel buffers (slot 0 = serial path)
+	pool     *sched.Pool         // pipelined batch scheduler (pipeline.go)
+	scratch  *validate.Scratches // per-worker validation kernel buffers (slot 0 = coordinator)
 	rng      *rand.Rand
 	stats    Stats
 
@@ -61,10 +58,7 @@ type Engine struct {
 	// goroutine and reset (not reallocated) at the start of each use, so
 	// steady-state batches stop paying per-level and per-search
 	// allocations. None of them carry state across uses.
-	scanOutcomes []scanOutcome        // scanLevel: per-candidate outcomes
-	scanReqs     []validate.Request   // scanLevel: eligible validation requests
-	scanSlots    []int                // scanLevel: request slot -> candidate index
-	fanOut       []validate.Outcome   // scanLevel: fan-out results
+	scanOutcomes []scanOutcome        // pipelined phases: per-candidate outcomes
 	vsCompared   map[[2]int64]bool    // violationSearch: compared record pairs
 	vsSeenAgree  map[attrset.Set]bool // violationSearch: folded agree sets
 	dfsVisited   map[fd.FD]bool       // depthFirstSearches: visited candidates
@@ -94,11 +88,8 @@ func (e *Engine) initExtras() {
 			e.keySet = e.keySet.With(a)
 		}
 	}
-	e.workers = resolveWorkers(e.cfg.Workers)
-	if e.workers >= 1 {
-		e.pool = sched.NewPool(e.workers, e.cfg.DisableStealing)
-		e.specCache = make(map[fd.FD]chunkSlot)
-	}
+	e.pool = sched.NewPool(resolveWorkers(e.cfg.Workers))
+	e.specCache = make(map[fd.FD]chunkSlot)
 	e.scratch = &validate.Scratches{}
 	e.rng = rand.New(rand.NewSource(e.cfg.Seed))
 }
@@ -294,7 +285,7 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	// reset per batch, so poisoning early is harmless) is converted into a
 	// poisoning error rather than unwinding through the caller with the
 	// covers half-merged. Worker-goroutine panics are captured separately
-	// by the fanout layer and arrive here as ordinary errors.
+	// by the scheduler and arrive here as ordinary errors.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: ApplyBatch panicked: %v\n%s", r, debug.Stack())
@@ -306,9 +297,9 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 	// Step 1: structural updates. The batch is first reduced, in batch
 	// order, to its net effect — the set of pre-existing records it
 	// deletes and the surviving new tuples with their pre-assigned ids —
-	// and then applied in one pli.Store.ApplyBatch call, which compacts
-	// each touched cluster once and fans per-attribute index maintenance
-	// across the worker pool (DESIGN.md §10). Planning in batch order
+	// and then staged in one pli.Store.StageBatch call; the scheduler runs
+	// the per-attribute index maintenance, which compacts each touched
+	// cluster once (DESIGN.md §10, §13). Planning in batch order
 	// keeps the original semantics: changes may reference records born
 	// earlier in the same batch, and a tuple born and deleted within the
 	// batch consumes its surrogate id without ever entering the store. The
@@ -406,56 +397,10 @@ func (e *Engine) ApplyBatch(batch stream.Batch) (res Result, err error) {
 		}
 	}
 	e.planInserts = ins
-	if e.pool != nil {
-		// Pipelined path (DESIGN.md §13): one scheduler session spans
-		// staging, per-attribute maintenance, and both sweeps, overlapping
-		// them through readiness gating. Covers after the batch are
-		// identical to the serial path below.
-		if err := e.applyPipelined(structStart, minNewID, nextID, deletes, ids, ins, touched); err != nil {
-			return Result{}, err
-		}
-	} else {
-		if err := e.store.ApplyBatch(e.planDeletes, ins, e.workers); err != nil {
-			// A captured worker panic means the store's per-attribute indexes
-			// are partially updated; plain validation errors leave the store
-			// unchanged (and should have been caught by the planner anyway).
-			var pe *fanout.PanicError
-			if errors.As(err, &pe) {
-				e.poisoned = err
-			}
-			return Result{}, fmt.Errorf("core: applying batch: %w", err)
-		}
-		if nextID > e.store.NextID() {
-			// The batch's last inserts died within the batch: their ids are
-			// consumed anyway, exactly as under one-by-one application.
-			if err := e.store.SetNextID(nextID); err != nil {
-				e.poisoned = err // structural changes already applied
-				return Result{}, fmt.Errorf("core: applying batch: %w", err)
-			}
-		}
-
-		e.stats.StructureTime += time.Since(structStart)
-
-		// Step 2: deletes may turn non-FDs into FDs (§5). The store already
-		// holds the batch, so a failed sweep leaves covers and store out of
-		// sync: poison.
-		if deletes > 0 {
-			start := time.Now()
-			if err := e.processDeletes(touched); err != nil {
-				e.poisoned = err
-				return Result{}, fmt.Errorf("core: delete phase: %w", err)
-			}
-			e.stats.DeletePhaseTime += time.Since(start)
-		}
-		// Step 3: inserts may turn FDs into non-FDs (§4).
-		if len(ids) > 0 {
-			start := time.Now()
-			if err := e.processInserts(minNewID, ids, touched); err != nil {
-				e.poisoned = err
-				return Result{}, fmt.Errorf("core: insert phase: %w", err)
-			}
-			e.stats.InsertPhaseTime += time.Since(start)
-		}
+	// Steps 2 and 3 share one scheduler session with the store
+	// maintenance (pipeline.go).
+	if err := e.applyPipelined(structStart, minNewID, nextID, deletes, ids, ins, touched); err != nil {
+		return Result{}, err
 	}
 
 	// Step 4: signal the changed FDs.

@@ -14,9 +14,9 @@ import (
 // and delete operations, applies them in small batches, and after every
 // batch asserts the full correctness contract: the engine's internal
 // invariants hold and its covers equal a from-scratch rediscovery over a
-// shadow copy of the live rows. The same op stream is fed to a serial and
-// a parallel engine, so the fuzzer also hunts for serial-equivalence
-// violations in the scan/merge pipeline.
+// shadow copy of the live rows. The same op stream is fed to an inline
+// (Workers: 0) and a 4-worker engine, so the fuzzer also hunts for
+// worker-count equivalence violations in the pipelined scheduler.
 //
 // Input encoding (one op per step, reading bytes left to right):
 //
@@ -45,10 +45,10 @@ func FuzzApplyBatch(f *testing.F) {
 		for i := range cols {
 			cols[i] = fmt.Sprintf("c%d", i)
 		}
-		serialCfg := DefaultConfig()
+		inlineCfg := DefaultConfig()
 		parallelCfg := DefaultConfig()
 		parallelCfg.Workers = 4
-		serial, err := Bootstrap(dataset.New("t", cols), serialCfg)
+		inline, err := Bootstrap(dataset.New("t", cols), inlineCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +78,9 @@ func FuzzApplyBatch(f *testing.F) {
 				return
 			}
 			batch := stream.Batch{Changes: changes}
-			resS, err := serial.ApplyBatch(batch)
+			resS, err := inline.ApplyBatch(batch)
 			if err != nil {
-				t.Fatalf("serial ApplyBatch: %v", err)
+				t.Fatalf("inline ApplyBatch: %v", err)
 			}
 			if _, err := parallel.ApplyBatch(batch); err != nil {
 				t.Fatalf("parallel ApplyBatch: %v", err)
@@ -103,18 +103,18 @@ func FuzzApplyBatch(f *testing.F) {
 			for _, row := range model {
 				rows = append(rows, row)
 			}
-			if got, want := serial.FDs(), oracle.MinimalFDs(rows, fuzzAttrs); !fd.Equal(got, want) {
+			if got, want := inline.FDs(), oracle.MinimalFDs(rows, fuzzAttrs); !fd.Equal(got, want) {
 				t.Fatalf("FDs diverged from rediscovery\n got  %v\n want %v\n rows %v", got, want, rows)
 			}
-			if got, want := serial.NonFDs(), oracle.MaximalNonFDs(rows, fuzzAttrs); !fd.Equal(got, want) {
+			if got, want := inline.NonFDs(), oracle.MaximalNonFDs(rows, fuzzAttrs); !fd.Equal(got, want) {
 				t.Fatalf("non-FDs diverged from rediscovery\n got  %v\n want %v\n rows %v", got, want, rows)
 			}
-			if !fd.Equal(parallel.FDs(), serial.FDs()) || !fd.Equal(parallel.NonFDs(), serial.NonFDs()) {
-				t.Fatalf("serial/parallel covers diverged\n serial   %v / %v\n parallel %v / %v",
-					serial.FDs(), serial.NonFDs(), parallel.FDs(), parallel.NonFDs())
+			if !fd.Equal(parallel.FDs(), inline.FDs()) || !fd.Equal(parallel.NonFDs(), inline.NonFDs()) {
+				t.Fatalf("inline/parallel covers diverged\n inline   %v / %v\n parallel %v / %v",
+					inline.FDs(), inline.NonFDs(), parallel.FDs(), parallel.NonFDs())
 			}
-			if err := serial.CheckInvariants(); err != nil {
-				t.Fatalf("serial invariants: %v", err)
+			if err := inline.CheckInvariants(); err != nil {
+				t.Fatalf("inline invariants: %v", err)
 			}
 			if err := parallel.CheckInvariants(); err != nil {
 				t.Fatalf("parallel invariants: %v", err)

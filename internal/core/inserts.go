@@ -8,62 +8,44 @@ import (
 	"dynfd/internal/validate"
 )
 
-// processInserts implements the lattice-traversal FD validation for insert
-// batches (paper §4.1, Algorithm 2). Inserts can only invalidate FDs, so
-// the positive cover is validated level-wise from the most general to the
-// most specific candidates; invalidated FDs move to the negative cover and
-// are replaced by their minimal specializations, which the traversal
-// validates when it reaches their level. When a level yields too many
-// invalid candidates, the progressive violation search (§4.3) takes over
-// the hunt for further violations.
-//
-// Each level runs as a scan phase (read-only candidate validations)
-// followed by a serial merge phase that applies the cover updates in
-// candidate order. This is the Workers == 0 reference path; Workers >= 1
-// runs the same classification and merge on the pipelined scheduler
-// (pipeline.go), with identical covers after every batch.
-//
-// minNewID is the smallest surrogate id assigned in this batch; newIDs are
-// all ids inserted by the batch; touched holds the columns the batch may
-// have changed (all columns unless update-column pruning narrowed it).
-func (e *Engine) processInserts(minNewID int64, newIDs []int64, touched attrset.Set) error {
-	e.computeDeltaMasks(newIDs)
-	prune := validate.NoPruning
-	if e.cfg.ClusterPruning {
-		prune = minNewID
-	}
-	for level := 0; level <= e.numAttrs; level++ {
-		candidates := e.fds.Level(level)
-		if len(candidates) == 0 {
-			continue
-		}
-		// Scan: classify and validate without mutating any engine state.
-		outcomes, err := e.scanLevel(candidates, prune, func(cand fd.FD) scanKind {
-			return e.classifyInsert(cand, touched)
-		})
-		if err != nil {
-			return err
-		}
-		// Merge: account the work, then fold every invalidated candidate
-		// into the covers in candidate order (Algorithm 2 lines 6-15).
-		invalid := 0
-		for i, cand := range candidates {
-			if inv, _ := e.applyInsertOutcome(cand, outcomes[i]); inv {
-				invalid++
-			}
-		}
-		// Lines 16-17: switch to the violation search when the traversal
-		// becomes inefficient.
-		if float64(invalid) > e.cfg.EfficiencyThreshold*float64(len(candidates)) {
-			e.violationSearch(newIDs)
-		}
-	}
-	return nil
+// scanKind classifies one candidate of a lattice level before its merge.
+// Both sweeps (processInserts, processDeletes in pipeline.go) classify on
+// the coordinator with classifyInsert/classifyDelete and fold the outcomes
+// into the covers, in candidate order, with applyInsertOutcome/
+// applyDeleteOutcome.
+type scanKind uint8
+
+const (
+	// scanStale: the candidate is no longer a cover member; no work, no
+	// stats.
+	scanStale scanKind = iota
+	// scanSkipped: a pruning rule discharged the candidate without
+	// validating (counted as a skipped validation).
+	scanSkipped
+	// scanEligible: the candidate must be validated against the store
+	// (transient; replaced by scanValid/scanInvalid after validation).
+	scanEligible
+	// scanValid: validation confirmed the candidate holds.
+	scanValid
+	// scanInvalid: validation found a violating record pair.
+	scanInvalid
+	// scanDeltaPruned: the agree-mask delta pruning discharged the
+	// candidate without validating (counted as a skipped validation, and
+	// separately as a delta prune).
+	scanDeltaPruned
+)
+
+// scanOutcome is the per-candidate result of a level's classification
+// and validation. For scanInvalid, witness holds the violating record
+// pair.
+type scanOutcome struct {
+	kind    scanKind
+	witness validate.Witness
 }
 
 // classifyInsert decides one positive-cover candidate's fate for the
-// insert sweep without mutating engine state. Shared by the serial scan
-// and the pipelined scheduler so both paths prune identically.
+// insert sweep without mutating engine state. The speculative submissions
+// use it too, so they prune exactly like the merge.
 func (e *Engine) classifyInsert(cand fd.FD, touched attrset.Set) scanKind {
 	if !e.fds.Contains(cand.Lhs, cand.Rhs) {
 		return scanStale // removed by an earlier specialization or search

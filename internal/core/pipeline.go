@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -15,10 +16,9 @@ import (
 
 // Pipelined batch execution on the work-stealing scheduler (DESIGN.md §13).
 //
-// With Config.Workers >= 1 a batch no longer runs as strictly serialized
-// stages (store maintenance, then delete sweep, then insert sweep, each
-// level a scan/merge barrier). Instead one sched.Session spans the whole
-// batch:
+// A batch does not run as strictly serialized stages (store maintenance,
+// then delete sweep, then insert sweep, each level a scan/merge barrier).
+// Instead one sched.Session spans the whole batch:
 //
 //   - Per-attribute Pli maintenance is submitted as tasks that publish
 //     their attribute's readiness bit when done. Validations only ever read
@@ -28,8 +28,8 @@ import (
 //   - A level's eligible candidates are bundled into stealable chunks
 //     (chunkSize) spread across the worker deques; the coordinator resolves
 //     them in candidate order during the merge, claiming directly or
-//     helping with other chunks while it waits, so the merge stays
-//     byte-identical to a serial run.
+//     helping with other chunks while it waits, so the merge order never
+//     depends on the worker count.
 //   - While a level merges, the next level is validated speculatively: its
 //     pre-existing cover members are previewed before the merge, and fresh
 //     candidates created by the merge itself (specializations, promoted
@@ -38,10 +38,28 @@ import (
 //     so reusing them cannot change results; entries whose candidate turns
 //     stale are simply discarded, and leftovers die with the session.
 //
-// Serial equivalence: classification runs on the coordinator in candidate
-// order with the exact predicates of the serial path, and the merge
-// consumes outcomes in candidate order, so covers after every batch are
-// identical to Workers == 0 (asserted by the equivalence property tests).
+// With no background workers (Workers <= 1) the same session runs inline
+// on the caller's goroutine: maintenance completes before the sweeps, and
+// each eligible candidate is validated directly during classification,
+// with no chunks and no speculation.
+//
+// Worker-count equivalence: classification runs on the coordinator in
+// candidate order, and the merge consumes outcomes in candidate order, so
+// covers after every batch are identical for every worker count (asserted
+// by the equivalence property tests and the golden covers).
+
+// resolveWorkers maps the Config.Workers knob to the scheduler's total
+// slot count: n >= 1 gives n slots, 0 gives the inline single slot, and
+// n < 0 one slot per available CPU.
+func resolveWorkers(n int) int {
+	if n < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	if n == 0 {
+		return 1
+	}
+	return n
+}
 
 // maintTask maintains one Pli shard and publishes its readiness bit, which
 // un-gates every validation chunk waiting on the attribute.
@@ -120,12 +138,9 @@ func (b *chunkBuilder) flush() {
 }
 
 // chunkSize picks the stealable chunk granularity for a level of n
-// candidates: an explicit Config.StealChunk wins; otherwise aim for about
-// four chunks per worker so stealing has slack, clamped to [1, 32].
+// candidates: about four chunks per worker so stealing has slack,
+// clamped to [1, 32].
 func (e *Engine) chunkSize(n int) int {
-	if e.cfg.StealChunk > 0 {
-		return e.cfg.StealChunk
-	}
 	c := n / (4 * e.pool.Workers())
 	if c < 1 {
 		c = 1
@@ -175,10 +190,11 @@ func (e *Engine) resolveOutcome(ses *sched.Session, o *scanOutcome, sl chunkSlot
 }
 
 // validateInline runs one validation directly on the coordinator — the
-// fast path when the pool has no background workers (Workers == 1), where
+// fast path when the pool has no background workers (Workers <= 1), where
 // chunking and deque traffic would be pure overhead. Panic containment
-// matches the fan-out contract so a panicking validator still poisons the
-// engine as a *fanout.PanicError instead of crashing the process.
+// matches the scheduler's task capture, so a panicking validator still
+// poisons the engine as a *fanout.PanicError instead of crashing the
+// process.
 func (e *Engine) validateInline(r validate.Request) (o validate.Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -208,14 +224,23 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 			_ = ses.End()
 		}
 	}()
+	full := attrset.Full(e.numAttrs)
 	for a := 0; a < e.numAttrs; a++ {
 		ses.Submit(&maintTask{store: e.store, ses: ses, attr: a})
+	}
+	if e.pool.Background() == 0 {
+		// Nothing could overlap the maintenance, so finish it here and
+		// keep StructureTime the Figure 1 step-1 share.
+		if err := ses.AwaitReady(full); err != nil {
+			e.poisoned = err
+			return fmt.Errorf("core: applying batch: %w", err)
+		}
 	}
 	e.stats.StructureTime += time.Since(structStart)
 
 	if deletes > 0 {
 		start := time.Now()
-		if err := e.processDeletesSched(ses, touched); err != nil {
+		if err := e.processDeletes(ses, touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: delete phase: %w", err)
 		}
@@ -223,7 +248,7 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	}
 	if len(ids) > 0 {
 		start := time.Now()
-		if err := e.processInsertsSched(ses, minNewID, ids, touched); err != nil {
+		if err := e.processInserts(ses, minNewID, ids, touched); err != nil {
 			e.poisoned = err
 			return fmt.Errorf("core: insert phase: %w", err)
 		}
@@ -231,7 +256,7 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	}
 
 	finishStart := time.Now()
-	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
+	if err := ses.AwaitReady(full); err != nil {
 		e.poisoned = err
 		return fmt.Errorf("core: applying batch: %w", err)
 	}
@@ -255,10 +280,21 @@ func (e *Engine) applyPipelined(structStart time.Time, minNewID, nextID int64, d
 	return nil
 }
 
-// processDeletesSched is processDeletes on the scheduler: same levels, same
-// classification, same merge order; candidate validations gated on their
-// shards' readiness and chunked across the workers.
-func (e *Engine) processDeletesSched(ses *sched.Session, touched attrset.Set) error {
+// processDeletes implements the lattice-traversal non-FD validation for
+// delete batches (paper §5.1, Algorithm 4). Deletes can only resolve
+// violations, so the negative cover is validated level-wise from the most
+// specific to the most general non-FDs; non-FDs that became valid move to
+// the positive cover and are replaced by their maximal generalizations,
+// which the traversal validates on the next (lower) level. Validation
+// pruning (§5.2) skips every non-FD whose annotated violating record pair
+// is still alive. When a level yields too many newly valid FDs, optimistic
+// depth-first searches (§5.3) chase the generalizations ahead of the
+// level-wise sweep.
+//
+// Each level classifies its candidates in order, validates the eligible
+// ones (gated on their shards' readiness and chunked across the workers),
+// then merges the outcomes in candidate order.
+func (e *Engine) processDeletes(ses *sched.Session, touched attrset.Set) error {
 	clear(e.specCache)
 	for level := e.numAttrs; level >= 0; level-- {
 		e.levelBuf = e.nonFds.AppendLevel(e.levelBuf[:0], level)
@@ -269,7 +305,6 @@ func (e *Engine) processDeletesSched(ses *sched.Session, touched attrset.Set) er
 		outcomes := e.outcomeBuf(len(candidates))
 		slots := e.chunkSlots(len(candidates))
 		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: validate.NoPruning}
-		eligible := 0
 		for i, cand := range candidates {
 			deps := cand.Lhs.With(cand.Rhs)
 			// Classification itself reads shard state (witness repair
@@ -283,7 +318,6 @@ func (e *Engine) processDeletesSched(ses *sched.Session, touched attrset.Set) er
 			if kind != scanEligible {
 				continue
 			}
-			eligible++
 			if e.pool.Background() == 0 {
 				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: validate.NoPruning})
 				if err != nil {
@@ -300,9 +334,6 @@ func (e *Engine) processDeletesSched(ses *sched.Session, touched attrset.Set) er
 			slots[i] = b.add(cand, deps)
 		}
 		b.flush()
-		if eligible > 0 && e.pool.Background() > 0 {
-			e.stats.ParallelLevels++
-		}
 		// Preview the next level's pre-existing non-FDs while this level's
 		// chunks run; candidates promoted by this merge are speculated as
 		// they appear below.
@@ -387,11 +418,23 @@ func (e *Engine) speculatePromoted(b *chunkBuilder, f fd.FD, touched attrset.Set
 	})
 }
 
-// processInsertsSched is processInserts on the scheduler. The insert sweep
-// needs the whole store (delta masks and the violation search read every
-// attribute), so it waits for full maintenance once, then pipelines levels:
-// chunked validation, speculative next-level submission, serial merge.
-func (e *Engine) processInsertsSched(ses *sched.Session, minNewID int64, newIDs []int64, touched attrset.Set) error {
+// processInserts implements the lattice-traversal FD validation for insert
+// batches (paper §4.1, Algorithm 2). Inserts can only invalidate FDs, so
+// the positive cover is validated level-wise from the most general to the
+// most specific candidates; invalidated FDs move to the negative cover and
+// are replaced by their minimal specializations, which the traversal
+// validates when it reaches their level. When a level yields too many
+// invalid candidates, the progressive violation search (§4.3) takes over
+// the hunt for further violations.
+//
+// The insert sweep needs the whole store (delta masks and the violation
+// search read every attribute), so it waits for full maintenance once,
+// then pipelines levels: chunked validation, speculative next-level
+// submission, merge in candidate order. minNewID is the smallest
+// surrogate id assigned in this batch; newIDs are all ids inserted by the
+// batch; touched holds the columns the batch may have changed (all
+// columns unless update-column pruning narrowed it).
+func (e *Engine) processInserts(ses *sched.Session, minNewID int64, newIDs []int64, touched attrset.Set) error {
 	if err := ses.AwaitReady(attrset.Full(e.numAttrs)); err != nil {
 		return err
 	}
@@ -410,14 +453,12 @@ func (e *Engine) processInsertsSched(ses *sched.Session, minNewID int64, newIDs 
 		outcomes := e.outcomeBuf(len(candidates))
 		slots := e.chunkSlots(len(candidates))
 		b := &chunkBuilder{e: e, ses: ses, size: e.chunkSize(len(candidates)), prune: prune}
-		eligible := 0
 		for i, cand := range candidates {
 			kind := e.classifyInsert(cand, touched)
 			outcomes[i] = scanOutcome{kind: kind}
 			if kind != scanEligible {
 				continue
 			}
-			eligible++
 			if e.pool.Background() == 0 {
 				r, err := e.validateInline(validate.Request{Lhs: cand.Lhs, Rhs: cand.Rhs, MinNewID: prune})
 				if err != nil {
@@ -434,9 +475,6 @@ func (e *Engine) processInsertsSched(ses *sched.Session, minNewID int64, newIDs 
 			slots[i] = b.add(cand, attrset.Set{})
 		}
 		b.flush()
-		if eligible > 0 && e.pool.Background() > 0 {
-			e.stats.ParallelLevels++
-		}
 		if e.pool.Background() > 0 && level < e.numAttrs {
 			e.speculateInsertLevel(ses, level+1, prune, touched)
 		}

@@ -33,8 +33,9 @@ func poisonEngine(t *testing.T, workers int) *Engine {
 	return e
 }
 
-// TestPanickingValidatorPoisonsEngine injects a panic into the validation
-// fan-out and asserts that ApplyBatch surfaces it as an error — not a
+// TestPanickingValidatorPoisonsEngine injects a panic into every
+// validation, inline (workers 0 and 1) or in a worker's chunk task
+// (workers 4), and asserts that ApplyBatch surfaces it as an error — not a
 // process crash — and that the engine then refuses all further writes.
 func TestPanickingValidatorPoisonsEngine(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {

@@ -213,26 +213,26 @@ func TestRandomWorkloadDeleteHeavy(t *testing.T) {
 	}
 }
 
-// runEquivalence drives one random batch sequence through a serial
-// (Workers: 0) engine and a parallel engine simultaneously and asserts
-// both produce identical FD and non-FD covers after every batch — the
-// serial-equivalence guarantee of the work-stealing scheduler
-// (DESIGN.md §8, §13). Both engines see byte-identical batches; surrogate
-// ids are assigned deterministically, so the id streams must agree too.
+// runEquivalence drives one random batch sequence through an inline
+// (Workers: 0) engine and an engine with the given worker count
+// simultaneously and asserts both produce identical FD and non-FD covers
+// after every batch — the worker-count equivalence guarantee of the
+// pipelined scheduler (DESIGN.md §13). Both engines see byte-identical
+// batches; surrogate ids are assigned deterministically, so the id
+// streams must agree too.
 func runEquivalence(t *testing.T, seed int64, workers, attrs, initialRows, batches, batchSize, domain int) {
 	t.Helper()
-	parallelCfg := DefaultConfig()
-	parallelCfg.Workers = workers
-	runPairEquivalence(t, seed, attrs, initialRows, batches, batchSize, domain, DefaultConfig(), parallelCfg)
+	runPairEquivalence(t, seed, attrs, initialRows, batches, batchSize, domain, DefaultConfig(), parallelConfig(workers))
 }
 
 // runPairEquivalence is the general form: drive identical batches through
 // two engines with arbitrary configurations and assert identical covers
-// and diffs after every batch. Returns the second engine for stats
-// inspection.
-func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, batchSize, domain int, serialCfg, parallelCfg Config) *Engine {
+// and diffs after every batch, and the second engine's covers equal to
+// the brute-force oracle's after the last one. Returns the second engine
+// for stats inspection.
+func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, batchSize, domain int, refCfg, cfg Config) *Engine {
 	t.Helper()
-	workers := parallelCfg.Workers
+	workers := cfg.Workers
 	r := rand.New(rand.NewSource(seed))
 	cols := make([]string, attrs)
 	for i := range cols {
@@ -251,16 +251,19 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 			t.Fatal(err)
 		}
 	}
-	serial, err := Bootstrap(rel, serialCfg)
+	ref, err := Bootstrap(rel, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Bootstrap(rel, parallelCfg)
+	got, err := Bootstrap(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Shadow model for the final oracle check: id -> row.
+	model := make(map[int64][]string)
 	var live []int64
-	for i := 0; i < initialRows; i++ {
+	for i, row := range rel.Rows {
+		model[int64(i)] = row
 		live = append(live, int64(i))
 	}
 	for b := 0; b < batches; b++ {
@@ -291,29 +294,39 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 			}
 		}
 		batch := stream.Batch{Changes: changes}
-		resS, err := serial.ApplyBatch(batch)
+		resR, err := ref.ApplyBatch(batch)
 		if err != nil {
-			t.Fatalf("batch %d (serial): %v", b, err)
+			t.Fatalf("batch %d (reference): %v", b, err)
 		}
-		resP, err := parallel.ApplyBatch(batch)
+		resG, err := got.ApplyBatch(batch)
 		if err != nil {
 			t.Fatalf("batch %d (workers=%d): %v", b, workers, err)
 		}
-		if fmt.Sprint(resS.InsertedIDs) != fmt.Sprint(resP.InsertedIDs) {
-			t.Fatalf("batch %d: id streams diverged: serial %v, parallel %v",
-				b, resS.InsertedIDs, resP.InsertedIDs)
+		if fmt.Sprint(resR.InsertedIDs) != fmt.Sprint(resG.InsertedIDs) {
+			t.Fatalf("batch %d: id streams diverged: reference %v, workers=%d %v",
+				b, resR.InsertedIDs, workers, resG.InsertedIDs)
 		}
-		if got, want := parallel.FDs(), serial.FDs(); !fd.Equal(got, want) {
-			t.Fatalf("batch %d (seed %d, workers %d): FD covers diverged\n serial   %v\n parallel %v",
-				b, seed, workers, want, got)
+		if g, w := got.FDs(), ref.FDs(); !fd.Equal(g, w) {
+			t.Fatalf("batch %d (seed %d, workers %d): FD covers diverged\n reference %v\n got       %v",
+				b, seed, workers, w, g)
 		}
-		if got, want := parallel.NonFDs(), serial.NonFDs(); !fd.Equal(got, want) {
-			t.Fatalf("batch %d (seed %d, workers %d): non-FD covers diverged\n serial   %v\n parallel %v",
-				b, seed, workers, want, got)
+		if g, w := got.NonFDs(), ref.NonFDs(); !fd.Equal(g, w) {
+			t.Fatalf("batch %d (seed %d, workers %d): non-FD covers diverged\n reference %v\n got       %v",
+				b, seed, workers, w, g)
 		}
-		if !fd.Equal(resS.Added, resP.Added) || !fd.Equal(resS.Removed, resP.Removed) {
-			t.Fatalf("batch %d: diffs diverged: serial +%v -%v, parallel +%v -%v",
-				b, resS.Added, resS.Removed, resP.Added, resP.Removed)
+		if !fd.Equal(resR.Added, resG.Added) || !fd.Equal(resR.Removed, resG.Removed) {
+			t.Fatalf("batch %d: diffs diverged: reference +%v -%v, workers=%d +%v -%v",
+				b, resR.Added, resR.Removed, workers, resG.Added, resG.Removed)
+		}
+		ins := resR.InsertedIDs
+		for _, c := range changes {
+			if c.Kind != stream.Insert {
+				delete(model, c.ID)
+			}
+			if c.Kind != stream.Delete {
+				model[ins[0]] = c.Values
+				ins = ins[1:]
+			}
 		}
 		for id := range pendingDeletes {
 			for i, l := range live {
@@ -323,19 +336,29 @@ func runPairEquivalence(t *testing.T, seed int64, attrs, initialRows, batches, b
 				}
 			}
 		}
-		live = append(live, resS.InsertedIDs...)
+		live = append(live, resR.InsertedIDs...)
 	}
-	if err := parallel.CheckInvariants(); err != nil {
+	rows := make([][]string, 0, len(model))
+	for _, row := range model {
+		rows = append(rows, row)
+	}
+	if g, w := got.FDs(), oracle.MinimalFDs(rows, attrs); !fd.Equal(g, w) {
+		t.Fatalf("seed %d, workers %d: final FDs differ from the oracle\n got  %v\n want %v", seed, workers, g, w)
+	}
+	if g, w := got.NonFDs(), oracle.MaximalNonFDs(rows, attrs); !fd.Equal(g, w) {
+		t.Fatalf("seed %d, workers %d: final non-FDs differ from the oracle\n got  %v\n want %v", seed, workers, g, w)
+	}
+	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return parallel
+	return got
 }
 
-// TestSerialParallelEquivalence is the acceptance property of the
-// parallel validation engine: across at least 50 randomized batch
-// sequences, a Workers: 4 engine yields identical FD covers to a
-// Workers: 0 engine after every single batch.
-func TestSerialParallelEquivalence(t *testing.T) {
+// TestWorkerCountEquivalence is the acceptance property of the pipelined
+// scheduler: across at least 50 randomized batch sequences, a Workers: 4
+// engine yields identical FD covers to the inline Workers: 0 engine after
+// every single batch, and the oracle's covers after the last one.
+func TestWorkerCountEquivalence(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("long equivalence sweep; run without -short")
@@ -350,10 +373,11 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSerialParallelEquivalenceShort is the -short variant of the sweep:
-// a handful of sequences so `go test -race -short` still exercises the
-// scan/merge pipeline cross-checked against the serial engine.
-func TestSerialParallelEquivalenceShort(t *testing.T) {
+// TestWorkerCountEquivalenceShort is the -short variant of the sweep: a
+// handful of sequences so `go test -race -short` still exercises the
+// multi-worker scheduler cross-checked against the inline engine and the
+// oracle.
+func TestWorkerCountEquivalenceShort(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 6; seed++ {
 		runEquivalence(t, 2000+seed, 4, 4+int(seed%3), int(seed%3)*8, 4, 6, 2+int(seed%3))
@@ -370,20 +394,17 @@ func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestEquivalenceForcedStealing pins the scheduler's stealing paths:
-// StealChunk: 1 makes every candidate its own stealable task, so with
-// several workers the deques drain through steals constantly. Covers must
-// stay identical to the serial engine, and across the sweep stealing must
-// actually have happened — otherwise the test is not exercising what it
-// claims to.
+// TestEquivalenceForcedStealing pins the scheduler's stealing paths: on
+// these narrow schemas automatic chunk sizing makes nearly every
+// candidate its own stealable task, so with four workers the deques drain
+// through steals constantly. Covers must stay identical to the inline
+// engine, and across the sweep stealing must actually have happened —
+// otherwise the test is not exercising what it claims to.
 func TestEquivalenceForcedStealing(t *testing.T) {
 	t.Parallel()
 	stolen := 0
 	for seed := int64(0); seed < 6; seed++ {
-		cfg := DefaultConfig()
-		cfg.Workers = 4
-		cfg.StealChunk = 1
-		e := runPairEquivalence(t, 4000+seed, 4+int(seed%3), 12, 5, 8, 2+int(seed%3), DefaultConfig(), cfg)
+		e := runPairEquivalence(t, 4000+seed, 4+int(seed%3), 12, 5, 8, 2+int(seed%3), DefaultConfig(), parallelConfig(4))
 		stolen += e.Stats().ChunksStolen
 	}
 	if stolen == 0 {
@@ -391,27 +412,10 @@ func TestEquivalenceForcedStealing(t *testing.T) {
 	}
 }
 
-// TestEquivalenceNoStealing pins the DisableStealing ablation knob: owners
-// drain their own deques, the coordinator claims what it awaits, and the
-// covers still match the serial engine exactly.
-func TestEquivalenceNoStealing(t *testing.T) {
-	t.Parallel()
-	for seed := int64(0); seed < 3; seed++ {
-		cfg := DefaultConfig()
-		cfg.Workers = 4
-		cfg.StealChunk = 1
-		cfg.DisableStealing = true
-		e := runPairEquivalence(t, 4100+seed, 5, 12, 5, 8, 3, DefaultConfig(), cfg)
-		if s := e.Stats().ChunksStolen; s != 0 {
-			t.Errorf("seed %d: DisableStealing engine stole %d chunks", seed, s)
-		}
-	}
-}
-
 // TestDeltaPruningSoundness is the pruning oracle: a delta-pruned engine
 // and an unpruned engine fed identical batches must report identical FD
 // and non-FD covers and identical per-batch diffs — delta pruning trades
-// work, never results. Run for the serial path and the scheduler path.
+// work, never results. Run inline and with four workers.
 func TestDeltaPruningSoundness(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{0, 4} {

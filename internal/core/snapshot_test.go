@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"dynfd/internal/dataset"
 	"dynfd/internal/fd"
+	"dynfd/internal/oracle"
 	"dynfd/internal/stream"
 )
 
@@ -166,5 +168,49 @@ func TestSnapshotMidWorkload(t *testing.T) {
 		if err := e2.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+}
+
+// legacySnapshotJSON is an engine snapshot as earlier releases wrote it:
+// its config still carries the retired StealChunk and DisableStealing
+// knobs, and Workers 0, which used to select a serial engine.
+const legacySnapshotJSON = `{"num_attrs":3,"next_id":4,
+"records":[{"id":0,"values":["1","x","p"]},{"id":1,"values":["1","x","q"]},{"id":2,"values":["2","y","p"]},{"id":3,"values":["3","y","q"]}],
+"fds":[{"lhs":[1,2],"rhs":0},{"lhs":[0],"rhs":1}],
+"non_fds":[{"lhs":[1],"rhs":0,"witness":[2,3],"has_pair":true},{"lhs":[2],"rhs":0,"witness":[0,2],"has_pair":true},{"lhs":[2],"rhs":1,"witness":[0,2],"has_pair":true},{"lhs":[0,1],"rhs":2,"witness":[0,1],"has_pair":true}],
+"config":{"ClusterPruning":true,"ViolationSearch":true,"ValidationPruning":true,"DepthFirstSearch":true,"DeltaPruning":true,"EfficiencyThreshold":0.1,"DFSSampleRate":0.1,"Seed":0,"KeyColumns":null,"UpdateColumnPruning":false,"Workers":0,"StealChunk":1,"DisableStealing":true}}`
+
+// TestRestoreLegacyConfigKeys restores a snapshot that still names the
+// retired config knobs: the unknown keys are ignored, Workers 0 runs the
+// inline scheduler, and a batch afterwards lands on the oracle's covers.
+func TestRestoreLegacyConfigKeys(t *testing.T) {
+	t.Parallel()
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(legacySnapshotJSON), &snap); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Restore(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.pool.Workers(); got != 1 {
+		t.Fatalf("legacy Workers 0 resolved to %d slots, want 1 (inline)", got)
+	}
+	if _, err := e.ApplyBatch(stream.Batch{Changes: []stream.Change{
+		{Kind: stream.Delete, ID: 3},
+		{Kind: stream.Update, ID: 0, Values: []string{"2", "y", "q"}},
+		{Kind: stream.Insert, Values: []string{"1", "x", "r"}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]string{{"1", "x", "q"}, {"2", "y", "p"}, {"2", "y", "q"}, {"1", "x", "r"}}
+	if got, want := e.FDs(), oracle.MinimalFDs(rows, 3); !fd.Equal(got, want) {
+		t.Errorf("FDs = %v, want %v", got, want)
+	}
+	if got, want := e.NonFDs(), oracle.MaximalNonFDs(rows, 3); !fd.Equal(got, want) {
+		t.Errorf("NonFDs = %v, want %v", got, want)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -42,8 +42,8 @@ func (c *tailChecks) take() (int, []error) {
 // the batch's inserts). With validate's cross-check hook installed, each
 // new-tail check also runs the table kernel on the same pivot cluster and
 // any difference in verdict or witness fails the test. The replays cover
-// the serial sweep, the inline scheduler and the pipelined scheduler with
-// speculation (workers 0/1/2) and delta pruning over datagen's
+// the inline scheduler (workers 0 and 1) and the pipelined scheduler with
+// speculation (workers 2) and delta pruning over datagen's
 // insert-heavy, update-heavy and insert-only histories, and the UCC
 // engine over the two narrower ones. Covers must also agree across worker
 // counts.
@@ -64,7 +64,7 @@ func TestInsertSweepTailMatchesTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		batches := stream.FixedBatches(d.Changes, 25)
-		var serial []fd.FD
+		var inline []fd.FD
 		for _, workers := range []int{0, 1, 2} {
 			e, err := Bootstrap(d.Relation, parallelConfig(workers))
 			if err != nil {
@@ -86,9 +86,9 @@ func TestInsertSweepTailMatchesTable(t *testing.T) {
 				t.Errorf("%s workers=%d: the insert sweep never took the new-tail path", name, workers)
 			}
 			if workers == 0 {
-				serial = e.FDs()
-			} else if !fd.Equal(e.FDs(), serial) {
-				t.Errorf("%s workers=%d: FDs differ from the serial engine", name, workers)
+				inline = e.FDs()
+			} else if !fd.Equal(e.FDs(), inline) {
+				t.Errorf("%s workers=%d: FDs differ from the workers=0 engine", name, workers)
 			}
 		}
 		if name == "single" {

@@ -2,12 +2,15 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dynfd"
+	"dynfd/internal/fd"
+	"dynfd/internal/oracle"
 	"dynfd/internal/server"
 )
 
@@ -403,4 +406,62 @@ func TestPerTenantWorkersOverride(t *testing.T) {
 	if _, err := rt2.Apply("tuned", []dynfd.Change{dynfd.Insert("10115", "Potsdam")}); err != nil {
 		t.Fatalf("apply after recovery with workers override: %v", err)
 	}
+}
+
+// TestLegacyTenantFiles recovers a tenant whose files earlier releases
+// wrote: a tenant.json sidecar with "workers":0, which used to select a
+// serial engine, and a checkpoint whose engine config still names the
+// retired StealChunk and DisableStealing knobs. Recovery must ignore the
+// retired keys, and a batch afterwards must land on the oracle's covers.
+func TestLegacyTenantFiles(t *testing.T) {
+	t.Parallel()
+	root := t.TempDir()
+	dir := filepath.Join(root, "legacy")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := `{"format":"dynfd-checkpoint","version":1,"seq":0,"columns":["a","b","c"],"engine":{"num_attrs":3,"next_id":4,
+"records":[{"id":0,"values":["1","x","p"]},{"id":1,"values":["1","x","q"]},{"id":2,"values":["2","y","p"]},{"id":3,"values":["3","y","q"]}],
+"fds":[{"lhs":[1,2],"rhs":0},{"lhs":[0],"rhs":1}],
+"non_fds":[{"lhs":[1],"rhs":0,"witness":[2,3],"has_pair":true},{"lhs":[2],"rhs":0,"witness":[0,2],"has_pair":true},{"lhs":[2],"rhs":1,"witness":[0,2],"has_pair":true},{"lhs":[0,1],"rhs":2,"witness":[0,1],"has_pair":true}],
+"config":{"ClusterPruning":true,"ViolationSearch":true,"ValidationPruning":true,"DepthFirstSearch":true,"DeltaPruning":true,"EfficiencyThreshold":0.1,"DFSSampleRate":0.1,"Seed":0,"KeyColumns":null,"UpdateColumnPruning":false,"Workers":0,"StealChunk":1,"DisableStealing":true}}}`
+	for name, data := range map[string]string{"checkpoint.json": checkpoint, tenantConfigName: `{"workers":0}`} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := openTestRuntime(t, Config{DataRoot: root, Workers: 2})
+	tc, err := readTenantConfig(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.Workers == nil || *tc.Workers != 0 {
+		t.Fatalf("sidecar workers = %v, want 0", tc.Workers)
+	}
+	if _, err := rt.Apply("legacy", []dynfd.Change{
+		dynfd.Delete(3), dynfd.Update(0, "2", "y", "q"), dynfd.Insert("1", "x", "r"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]string{{"1", "x", "q"}, {"2", "y", "p"}, {"2", "y", "q"}, {"1", "x", "r"}}
+	if err := rt.View("legacy", func(m *dynfd.DurableMonitor) error {
+		if got, want := fmt.Sprint(m.FDs()), publicFDs(oracle.MinimalFDs(rows, 3)); got != want {
+			t.Errorf("FDs = %s, want %s", got, want)
+		}
+		if got, want := fmt.Sprint(m.NonFDs()), publicFDs(oracle.MaximalNonFDs(rows, 3)); got != want {
+			t.Errorf("NonFDs = %s, want %s", got, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// publicFDs renders internal FDs the way fmt prints a []dynfd.FD.
+func publicFDs(fds []fd.FD) string {
+	out := make([]dynfd.FD, len(fds))
+	for i, f := range fds {
+		out[i] = dynfd.FD{Lhs: f.Lhs.Slice(), Rhs: f.Rhs}
+	}
+	return fmt.Sprint(out)
 }

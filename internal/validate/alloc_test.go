@@ -265,3 +265,58 @@ func legacyFDValid(s *pli.Store, lhs attrset.Set, rhs int) bool {
 	})
 	return valid
 }
+
+// randomStore builds a store with n records over attrs attributes drawn
+// from a small value domain, so both valid and invalid candidates occur.
+func randomStore(t testing.TB, seed int64, n, attrs, domain int) *pli.Store {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	s := pli.NewStore(attrs)
+	for i := 0; i < n; i++ {
+		row := make([]string, attrs)
+		for a := range row {
+			row[a] = fmt.Sprint(r.Intn(domain))
+		}
+		if _, err := s.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// allRequests enumerates every non-trivial candidate (lhs → rhs) with
+// |lhs| <= 2 — enough to cover empty, singleton, and multi-attribute
+// pivot/rest paths in FD.
+func allRequests(attrs int) []Request {
+	var reqs []Request
+	for rhs := 0; rhs < attrs; rhs++ {
+		reqs = append(reqs, Request{Lhs: attrset.Set{}, Rhs: rhs, MinNewID: NoPruning})
+		for a := 0; a < attrs; a++ {
+			if a == rhs {
+				continue
+			}
+			reqs = append(reqs, Request{Lhs: attrset.Of(a), Rhs: rhs, MinNewID: NoPruning})
+			for b := a + 1; b < attrs; b++ {
+				if b == rhs {
+					continue
+				}
+				reqs = append(reqs, Request{Lhs: attrset.Of(a, b), Rhs: rhs, MinNewID: NoPruning})
+			}
+		}
+	}
+	return reqs
+}
+
+// checkWitness verifies that w is a live record pair violating the request.
+func checkWitness(t *testing.T, s *pli.Store, r Request, w Witness) {
+	t.Helper()
+	ra, okA := s.Record(w.A)
+	rb, okB := s.Record(w.B)
+	if !okA || !okB {
+		t.Errorf("witness (%d,%d) for %v -> %d has dead records", w.A, w.B, r.Lhs.Slice(), r.Rhs)
+		return
+	}
+	if !r.Lhs.IsSubsetOf(AgreeSet(ra, rb)) || ra[r.Rhs] == rb[r.Rhs] {
+		t.Errorf("witness (%d,%d) does not violate %v -> %d", w.A, w.B, r.Lhs.Slice(), r.Rhs)
+	}
+}

@@ -36,8 +36,8 @@ func BenchmarkFDValidation(b *testing.B) {
 }
 
 // BenchmarkValidateFD measures the kernel with a warm caller-owned Scratch
-// — the steady-state shape of every hot path (worker slots in Fan, the
-// engine's serial slot). Sub-benchmarks cover the three kernel
+// — the steady-state shape of every hot path (the engine's per-worker
+// scratch slots). Sub-benchmarks cover the three kernel
 // specializations: rest width 0 (direct probe), 1 (single cluster id) and
 // ≥2 (flattened tuples). All must report 0 allocs/op; alloc_test.go pins
 // that, this benchmark tracks the cycle cost.

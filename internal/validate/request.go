@@ -1,0 +1,56 @@
+// Validation requests: the unit of work the engine's scheduler hands to
+// the kernel. Validating a candidate FD against the Pli store is a pure
+// read — FD walks clusters and compressed records and mutates nothing —
+// so any number of requests may run concurrently on distinct scratches as
+// long as no goroutine mutates the shards they read.
+
+package validate
+
+import (
+	"sync/atomic"
+
+	"dynfd/internal/attrset"
+	"dynfd/internal/pli"
+)
+
+// Request is one candidate validation: does Lhs → Rhs hold on the store?
+// MinNewID carries the cluster-pruning bound (paper §4.2) or NoPruning.
+type Request struct {
+	Lhs      attrset.Set
+	Rhs      int
+	MinNewID int64
+}
+
+// Outcome is the result of one Request. For an invalid candidate, Witness
+// holds a violating record pair.
+type Outcome struct {
+	Valid   bool
+	Witness Witness
+}
+
+// testHook, when set, runs before every request validation inside One — a
+// test-only injection point that lets failure-path tests drive a
+// panicking validator through the real worker pool (see SetTestHook).
+var testHook atomic.Pointer[func(Request)]
+
+// SetTestHook installs h (nil clears) as the test-only validation hook.
+// Tests that install a hook must clear it before returning; production
+// code never sets it.
+func SetTestHook(h func(Request)) {
+	if h == nil {
+		testHook.Store(nil)
+		return
+	}
+	testHook.Store(&h)
+}
+
+// One validates a single request on the given scratch, honoring the
+// test-only hook. Every engine validation, inline or in a scheduler chunk
+// task, goes through One, so failure injection reaches all of them.
+func One(sc *Scratch, s *pli.Store, r Request) Outcome {
+	if h := testHook.Load(); h != nil {
+		(*h)(r)
+	}
+	valid, wit := sc.FD(s, r.Lhs, r.Rhs, r.MinNewID)
+	return Outcome{Valid: valid, Witness: wit}
+}
