@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynfd/internal/fanout"
@@ -397,4 +398,103 @@ func TestNewClustersLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("staged", staged)
+}
+
+// TestValueDeltaLifecycle pins the value delta contract: a batch records
+// the values it removed and created under its pre-batch generation (a
+// value may die and be born again in one batch), the staged form records
+// the same delta, a mismatched stamp or a single-record mutation makes it
+// unavailable, and a later small batch releases the relation-sized lists a
+// bulk load left behind.
+func TestValueDeltaLifecycle(t *testing.T) {
+	t.Parallel()
+	const n = 2000
+	bulk := make([]BatchInsert, n)
+	for i := range bulk {
+		bulk[i] = BatchInsert{ID: int64(i), Values: []string{fmt.Sprint(i), fmt.Sprint(i % 7)}}
+	}
+	build := func() *Store {
+		s := NewStore(2)
+		if err := s.ApplyBatch(nil, bulk, 2); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := build()
+	if born, died, ok := s.Index(0).ValueDelta(0); !ok || len(born) != n || len(died) != 0 {
+		t.Fatalf("bulk load: delta %d born %d died ok=%v, want %d born", len(born), len(died), ok, n)
+	}
+
+	// Record 7 holds the only "7" of attribute 0: deleting it and inserting
+	// "7" again kills and re-creates the value in one batch.
+	from := s.NextID()
+	batch := []BatchInsert{
+		{ID: from, Values: []string{"7", "new"}},
+		{ID: from + 1, Values: []string{"fresh", "1"}},
+	}
+	want := [][2][]string{
+		{{"7", "fresh"}, {"7", "8"}},
+		{{"new"}, nil},
+	}
+	check := func(label string, s *Store, gens []uint64) {
+		t.Helper()
+		for a, w := range want {
+			ix := s.Index(a)
+			born, died, ok := ix.ValueDelta(gens[a])
+			if !ok {
+				t.Fatalf("%s: attr %d delta unavailable after batch", label, a)
+			}
+			if !slices.Equal(born, w[0]) || !slices.Equal(died, w[1]) {
+				t.Errorf("%s: attr %d delta born=%v died=%v, want born=%v died=%v", label, a, born, died, w[0], w[1])
+			}
+			if cap(born) > newCidsKeepCap || cap(died) > newCidsKeepCap {
+				t.Errorf("%s: attr %d delta capacity %d/%d still pins the bulk load", label, a, cap(born), cap(died))
+			}
+			if _, _, ok := ix.ValueDelta(gens[a] - 1); ok {
+				t.Errorf("%s: attr %d delta served for a foreign generation", label, a)
+			}
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	gens := func(s *Store) []uint64 { return []uint64{s.Index(0).Gen(), s.Index(1).Gen()} }
+	g := gens(s)
+	if err := s.ApplyBatch([]int64{7, 8}, batch, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("ApplyBatch", s, g)
+
+	staged := build()
+	g = gens(staged)
+	if err := staged.StageBatch([]int64{7, 8}, batch); err != nil {
+		t.Fatal(err)
+	}
+	for a := 1; a >= 0; a-- {
+		staged.RunAttr(a)
+	}
+	if err := staged.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("staged", staged, g)
+
+	for name, mutate := range map[string]func(s *Store) error{
+		"Insert":    func(s *Store) error { _, err := s.Insert([]string{"x", "y"}); return err },
+		"Delete":    func(s *Store) error { return s.Delete(0) },
+		"SetNextID": func(s *Store) error { return s.SetNextID(s.NextID() + 1) },
+	} {
+		s := build()
+		if err := mutate(s); err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < 2; a++ {
+			// 0 is the bulk load's stamp, valid until the mutation.
+			if _, _, ok := s.Index(a).ValueDelta(0); ok {
+				t.Errorf("%s: attr %d delta still served", name, a)
+			}
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }

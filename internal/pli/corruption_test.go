@@ -211,3 +211,31 @@ func TestDetectsNewClusterListDrift(t *testing.T) {
 		})
 	}
 }
+
+func TestDetectsValueDeltaDrift(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ix *Index)
+		want    string
+	}{
+		{"count", func(ix *Index) { ix.born = ix.born[:1] }, "generations"},
+		{"stamp", func(ix *Index) { ix.deltaGen-- }, "generations"},
+		{"born", func(ix *Index) { ix.born[0] = "ghost" }, "born value"},
+		{"died", func(ix *Index) { ix.died[0] = "1" }, "still present"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := batchedStore(t)
+			// Attribute 1's batch killed "2" and created "9" and "8".
+			ix := s.Index(1)
+			if born, died, ok := ix.ValueDelta(ix.deltaGen); !ok || len(born) != 2 || len(died) != 1 {
+				t.Fatalf("precondition: delta born=%v died=%v ok=%v", born, died, ok)
+			}
+			tc.corrupt(ix)
+			err := s.CheckConsistency()
+			if err == nil || !strings.Contains(err.Error(), "value delta") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CheckConsistency = %v, want a value delta error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}

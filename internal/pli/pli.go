@@ -24,7 +24,9 @@
 // sweep instead of splicing per record. Insert, InsertWithID, and Delete
 // remain as single-element wrappers with their original semantics. Every
 // batch also records, per attribute, the clusters it grew (NewClusters), so
-// cluster-pruned validation can walk just those (DESIGN.md §17).
+// cluster-pruned validation can walk just those (DESIGN.md §17), and the
+// values it created and removed (ValueDelta), so snapshot publish extends
+// its dictionaries instead of re-reading them (DESIGN.md §19).
 //
 // Deviation from the paper: compressed records store a real cluster id for
 // every value, including values that occur only once. The paper's "-1 for
@@ -116,10 +118,12 @@ type Index struct {
 	next     int32
 
 	// gen counts changes to the attribute's distinct-value set: it is
-	// bumped whenever a cluster is created (a value appears) or deleted
-	// (a value vanishes), never when an existing cluster only gains or
-	// loses members. Snapshot builders use it to share captured value
-	// dictionaries across batches that did not change the value set.
+	// bumped once per value that appears (a cluster is created) and once
+	// per value that vanishes (a cluster is deleted), never when an
+	// existing cluster only gains or loses members. Snapshot builders use
+	// it as a stamp: an unchanged gen shares the published dictionary, and
+	// a gen that moved by exactly the last batch's value delta (ValueDelta)
+	// extends it by that delta instead of re-capturing it.
 	gen uint64
 
 	// batchCids is the reusable touched-cluster scratch of ApplyBatch.
@@ -135,6 +139,15 @@ type Index struct {
 	newCids []int32
 	newFrom int64
 	newOK   bool
+
+	// born and died list the values the last batch application created and
+	// removed, in order; deltaGen is gen before that batch, so
+	// len(born)+len(died) == gen-deltaGen. deltaOK follows newOK: false
+	// before the first batch and after any single-record mutation (see
+	// ValueDelta).
+	born, died []string
+	deltaGen   uint64
+	deltaOK    bool
 }
 
 func newIndex() *Index {
@@ -184,6 +197,22 @@ func (ix *Index) NewClusters(from int64) (cids []int32, ok bool) {
 
 // Gen returns the distinct-value generation counter (see the field comment).
 func (ix *Index) Gen() uint64 { return ix.gen }
+
+// ValueDelta returns the values the last batch application (ApplyBatch, or
+// StageBatch+RunAttr) created (born) and removed (died), when fromGen
+// equals the attribute's Gen before that batch. Deletes apply before
+// inserts, so a value may die and be born again in one batch, never the
+// reverse. ok follows the NewClusters contract: it is false for any other
+// fromGen, before the first batch, and after Insert, InsertWithID, Delete
+// or SetNextID; callers then capture the dictionary in full. The returned
+// slices alias the index and must not be modified; they are valid until
+// the attribute's next mutation.
+func (ix *Index) ValueDelta(fromGen uint64) (born, died []string, ok bool) {
+	if !ix.deltaOK || fromGen != ix.deltaGen {
+		return nil, nil, false
+	}
+	return ix.born, ix.died, true
+}
 
 // AppendValues appends the attribute's distinct values to dst in
 // unspecified order and returns the extended slice.
@@ -459,13 +488,14 @@ func (s *Store) insertOne(id int64, values []string) {
 	s.invalidateNew()
 }
 
-// invalidateNew drops every attribute's new-cluster list and its memory:
-// the single-record mutators change clusters outside any batch, so no list
-// describes them.
+// invalidateNew drops every attribute's new-cluster list and value delta
+// and their memory: the single-record mutators change clusters outside any
+// batch, so no list describes them.
 func (s *Store) invalidateNew() {
 	for a := range s.shards {
 		ix := s.shards[a].ix
 		ix.newCids, ix.newOK = nil, false
+		ix.born, ix.died, ix.deltaOK = nil, nil, false
 	}
 }
 
@@ -590,11 +620,20 @@ func (s *Store) ApplyBatch(deletes []int64, inserts []BatchInsert, workers int) 
 	return s.Finish()
 }
 
-// newCidsKeepCap is the new-cluster list capacity a batch always reuses;
-// above it, a backing array more than 4x the batch's insert count is
-// released, so a bulk load that touched every cluster does not pin a
-// relation-sized array for the life of the store.
+// newCidsKeepCap is the per-batch scratch capacity (new-cluster list, value
+// delta) a batch always reuses; above it, a backing array more than 4x the
+// batch's change count is released, so a bulk load that touched every
+// cluster does not pin a relation-sized array for the life of the store.
 const newCidsKeepCap = 256
+
+// reuseScratch returns buf emptied for reuse, or nil when its capacity
+// exceeds the newCidsKeepCap release rule for a batch of n changes.
+func reuseScratch[T any](buf []T, n int) []T {
+	if c := cap(buf); c > newCidsKeepCap && c > 4*n {
+		return nil
+	}
+	return buf[:0]
+}
 
 // applyAttr applies the staged batch's deletes and inserts to attribute a:
 // compaction of the touched clusters first, then appends for the inserts
@@ -602,13 +641,17 @@ const newCidsKeepCap = 256
 // cluster id lists strictly ascending). The appends also rebuild the
 // attribute's new-cluster list: a cluster joins it when its previous
 // newest member predates the batch (is below st.from), which is true
-// exactly once per cluster per batch.
+// exactly once per cluster per batch. Compactions that empty a cluster
+// and appends that create one record the batch's value delta.
 func (s *Store) applyAttr(a int, st *stagedBatch) {
 	if h := testApplyAttrHook.Load(); h != nil {
 		(*h)(a)
 	}
 	ix := s.shards[a].ix
 	deletes, inserts := st.deletes, st.inserts
+	ix.deltaGen = ix.gen
+	ix.born = reuseScratch(ix.born, len(inserts))
+	ix.died = reuseScratch(ix.died, len(deletes))
 	if len(deletes) > 0 {
 		// Collect the touched cluster ids, dedupe, and compact each once.
 		cids := ix.batchCids[:0]
@@ -626,18 +669,19 @@ func (s *Store) applyAttr(a int, st *stagedBatch) {
 		}
 		ix.batchCids = cids[:0]
 	}
-	newCids := ix.newCids[:0]
-	if c := cap(newCids); c > newCidsKeepCap && c > 4*len(inserts) {
-		newCids = nil
-	}
+	newCids := reuseScratch(ix.newCids, len(inserts))
 	for _, ins := range inserts {
 		cid, prevMax := ix.add(ins.Values[a], ins.ID)
 		s.Rec(ins.ID)[a] = cid
 		if prevMax < st.from {
 			newCids = append(newCids, cid)
+			if prevMax < 0 { // a cluster the insert created
+				ix.born = append(ix.born, ins.Values[a])
+			}
 		}
 	}
 	ix.newCids, ix.newFrom, ix.newOK = newCids, st.from, true
+	ix.deltaOK = true
 }
 
 // compactCluster removes all dead members of cluster cid in one in-place
@@ -656,6 +700,7 @@ func (s *Store) compactCluster(ix *Index, cid int32) {
 		delete(ix.clusters, cid)
 		delete(ix.inverted, c.Value)
 		ix.gen++
+		ix.died = append(ix.died, c.Value)
 		return
 	}
 	c.IDs = kept
@@ -772,6 +817,31 @@ func (ix *Index) checkNewClusters(a int) error {
 	return nil
 }
 
+// checkValueDelta verifies a valid value delta: it accounts for exactly the
+// generations the last batch added, every born value is present, and every
+// died value not born again in the same batch is absent.
+func (ix *Index) checkValueDelta(a int) error {
+	if !ix.deltaOK {
+		return nil
+	}
+	if n := uint64(len(ix.born) + len(ix.died)); ix.gen-ix.deltaGen != n {
+		return fmt.Errorf("pli: attr %d value delta has %d entries for %d generations", a, n, ix.gen-ix.deltaGen)
+	}
+	reborn := make(map[string]bool, len(ix.born))
+	for _, v := range ix.born {
+		if _, ok := ix.inverted[v]; !ok {
+			return fmt.Errorf("pli: attr %d value delta: born value %q missing", a, v)
+		}
+		reborn[v] = true
+	}
+	for _, v := range ix.died {
+		if _, ok := ix.inverted[v]; ok && !reborn[v] {
+			return fmt.Errorf("pli: attr %d value delta: died value %q still present", a, v)
+		}
+	}
+	return nil
+}
+
 // CheckConsistency verifies the cross-structure invariants: the arena's
 // liveness bookkeeping (page counts, record total, id horizon, freed empty
 // pages), the sharded layout (one shard per attribute, all shard epochs
@@ -779,9 +849,10 @@ func (ix *Index) checkNewClusters(a int) error {
 // only some shards), every cluster is sorted, non-empty, inversely indexed,
 // and contains exactly live records that point back at it, every valid
 // new-cluster list names exactly the clusters the last batch grew (see
-// NewClusters), and every live record appears in exactly the clusters its
-// compressed record names. It is used by tests and failure-injection
-// suites; it runs in O(data) time.
+// NewClusters), every valid value delta matches the generations it spans
+// and the current dictionary (see ValueDelta), and every live record
+// appears in exactly the clusters its compressed record names. It is used
+// by tests and failure-injection suites; it runs in O(data) time.
 // A store with an open staged batch is mid-mutation by definition and is
 // reported as inconsistent.
 func (s *Store) CheckConsistency() error {
@@ -860,6 +931,9 @@ func (s *Store) CheckConsistency() error {
 			return fmt.Errorf("pli: attr %d inverted index size %d != clusters %d", a, len(ix.inverted), len(ix.clusters))
 		}
 		if err := ix.checkNewClusters(a); err != nil {
+			return err
+		}
+		if err := ix.checkValueDelta(a); err != nil {
 			return err
 		}
 	}

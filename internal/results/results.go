@@ -8,10 +8,12 @@
 //
 // Snapshots are built copy-on-write from their predecessor: per-RHS cover
 // slices are re-collected only for the right-hand sides named in the
-// batch's FD diff, value dictionaries are re-captured only for attributes
-// whose distinct-value generation moved, and the frozen arena shares page
-// slabs and liveness bitmaps with the live store (pli.Frozen). A batch
-// that changes nothing shares everything.
+// batch's FD diff, the frozen arena shares page slabs and liveness bitmaps
+// with the live store (pli.Frozen), and each attribute's value dictionary
+// is an O(1) view over a shared, append-only log of the values the batches
+// created and removed since one full capture (DESIGN.md §19), so
+// publishing a batch costs O(batch), not O(dictionary). A batch that
+// changes nothing shares everything.
 package results
 
 import (
@@ -37,23 +39,91 @@ type ViolationGroup struct {
 	RhsValues int
 }
 
-// attrDict is one attribute's captured distinct-value set. It is shared
-// across snapshots while the attribute's dictionary generation
-// (pli.Index.Gen) is unchanged; the membership set for IND checks is built
-// lazily, once, on first use.
-type attrDict struct {
-	gen    uint64
-	values []string
-	once   sync.Once
-	set    map[string]struct{}
+// rebaseDiv bounds a dictionary log: Build extends a log only while the
+// values appended since its full capture number at most len(base)/rebaseDiv,
+// and takes a fresh full capture otherwise. A log's extra heap is thus at
+// most 1/rebaseDiv of its base, and the capture cost amortizes to about
+// rebaseDiv copied values per logged value.
+const rebaseDiv = 8
+
+// dictLog is the history shared by a chain of attrDicts: one full capture
+// of an attribute's value set, plus the lengths of the born/died slices of
+// the chain's newest attrDict (its tip). The slices themselves live in the
+// attrDicts; every attrDict on the log views base plus a prefix of the same
+// append-only backing arrays. Only Build reads or writes the lengths, under
+// the store access it already requires.
+type dictLog struct {
+	base             []string
+	bornLen, diedLen int
 }
 
-func (d *attrDict) member() map[string]struct{} {
-	d.once.Do(func() {
-		d.set = make(map[string]struct{}, len(d.values))
-		for _, v := range d.values {
-			d.set[v] = struct{}{}
+// attrDict is one attribute's distinct-value set at one dictionary
+// generation (pli.Index.Gen): log.base plus the values created (born) and
+// removed (died) since that capture. It is shared across snapshots while
+// the generation is unchanged. A value's births and deaths strictly
+// alternate, so it is present iff (1 if in base) + #born − #died is 1,
+// whatever the order; the membership set for IND checks is materialized
+// lazily, once, on first use.
+type attrDict struct {
+	gen        uint64
+	count      int // number of distinct values present
+	log        *dictLog
+	born, died []string
+
+	once sync.Once
+	set  map[string]int32
+}
+
+// nextDict returns the dictionary of ix at its current generation, given
+// the predecessor's dictionary p (nil when there is none from this store).
+// An unchanged generation shares p; a generation moved by exactly the last
+// batch's value delta extends p's log when p is the log's tip and the log
+// stays within the rebase bound; anything else is a full capture. Appending
+// only at the tip means the append never writes where another view reads:
+// every other attrDict on the log views a shorter prefix.
+func nextDict(p *attrDict, ix *pli.Index) *attrDict {
+	gen := ix.Gen()
+	if p != nil {
+		if p.gen == gen {
+			return p
 		}
+		l := p.log
+		born, died, ok := ix.ValueDelta(p.gen)
+		if ok && len(p.born) == l.bornLen && len(p.died) == l.diedLen &&
+			l.bornLen+len(born)+l.diedLen+len(died) <= len(l.base)/rebaseDiv {
+			d := &attrDict{
+				gen:   gen,
+				count: p.count + len(born) - len(died),
+				log:   l,
+				born:  append(p.born, born...),
+				died:  append(p.died, died...),
+			}
+			l.bornLen, l.diedLen = len(d.born), len(d.died)
+			return d
+		}
+	}
+	base := ix.AppendValues(make([]string, 0, ix.NumClusters()))
+	return &attrDict{gen: gen, count: len(base), log: &dictLog{base: base}}
+}
+
+// member returns the materialized value set. Births are counted before
+// deaths, so no count dips below zero and a value whose count returns to
+// zero is dropped on the spot.
+func (d *attrDict) member() map[string]int32 {
+	d.once.Do(func() {
+		set := make(map[string]int32, len(d.log.base)+len(d.born))
+		for _, v := range d.log.base {
+			set[v]++
+		}
+		for _, v := range d.born {
+			set[v]++
+		}
+		for _, v := range d.died {
+			if set[v]--; set[v] == 0 {
+				delete(set, v)
+			}
+		}
+		d.set = set
 	})
 	return d.set
 }
@@ -135,12 +205,11 @@ func Build(prev *Snapshot, seq uint64, columns []string, store *pli.Store,
 
 	s.dicts = make([]*attrDict, numAttrs)
 	for a := 0; a < numAttrs; a++ {
-		ix := store.Index(a)
-		if cow && prev.dicts[a].gen == ix.Gen() {
-			s.dicts[a] = prev.dicts[a]
-		} else {
-			s.dicts[a] = &attrDict{gen: ix.Gen(), values: ix.AppendValues(nil)}
+		var p *attrDict
+		if cow {
+			p = prev.dicts[a]
 		}
+		s.dicts[a] = nextDict(p, store.Index(a))
 	}
 	return s
 }
@@ -297,12 +366,12 @@ func (s *Snapshot) INDs() []UnaryIND {
 	for i := 0; i < s.numAttrs; i++ {
 		di := s.dicts[i]
 		for j := 0; j < s.numAttrs; j++ {
-			if i == j || len(di.values) > len(s.dicts[j].values) {
+			if i == j || di.count > s.dicts[j].count {
 				continue
 			}
 			member := s.dicts[j].member()
 			included := true
-			for _, v := range di.values {
+			for v := range di.member() {
 				if _, ok := member[v]; !ok {
 					included = false
 					break

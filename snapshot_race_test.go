@@ -38,11 +38,12 @@ func fingerprintSnapshot(s *ResultSnapshot) string {
 
 // TestSnapshotReadersVsWriter streams batches from one writer while many
 // reader goroutines hammer the published snapshot with cover, key, IND,
-// and violation queries. Every reader must see (a) monotonically
-// non-decreasing sequence numbers and (b) for each sequence, answers
-// identical to every other observer of that sequence — i.e. each answer is
-// consistent with some committed prefix of the stream. Run under -race
-// this is also the data-race proof for the lock-free read path.
+// and violation queries, on the latest snapshot and on retained older
+// ones. Every reader must see (a) monotonically non-decreasing sequence
+// numbers and (b) for each sequence, answers identical to every other
+// observer of that sequence — i.e. each answer is consistent with some
+// committed prefix of the stream. Run under -race this is also the
+// data-race proof for the lock-free read path.
 func TestSnapshotReadersVsWriter(t *testing.T) {
 	dir := t.TempDir()
 	cols := []string{"zip", "city", "state"}
@@ -117,13 +118,24 @@ func TestSnapshotReadersVsWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var lastSeq uint64
-			for !stop.Load() {
+			// Every 16th load is retained unobserved and first queried 16
+			// loads later, while the writer keeps publishing: its INDs are
+			// materialized from dictionary views whose shared logs the
+			// writer is appending to.
+			var retained *ResultSnapshot
+			for n := 0; !stop.Load(); n++ {
 				s := mon.Snapshot()
 				if s.Seq() < lastSeq {
 					readerErr[i] = fmt.Errorf("sequence went backwards: %d after %d", s.Seq(), lastSeq)
 					return
 				}
 				lastSeq = s.Seq()
+				if n%16 == 0 {
+					s, retained = retained, s
+					if s == nil {
+						continue
+					}
+				}
 				if err := observe(s); err != nil {
 					readerErr[i] = err
 					return
